@@ -476,7 +476,7 @@ func (s *server) closeEpoch(h *handleFile) error {
 		}
 		rel := rec.off - blk*ds
 		copy(st.buf[rel:], rec.data)
-		st.runs = extent.Coalesce(append(st.runs, extent.Extent{Off: rel, Len: int64(len(rec.data))}))
+		st.runs = extent.Add(st.runs, []extent.Extent{{Off: rel, Len: int64(len(rec.data))}})
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	var reqs []storage.Request

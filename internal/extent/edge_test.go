@@ -115,3 +115,19 @@ func TestSpanTotalEdges(t *testing.T) {
 		t.Errorf("Total = %d, want 4", n)
 	}
 }
+
+func TestAddEdges(t *testing.T) {
+	eq(t, Add(nil, nil), nil, "nil/nil")
+	eq(t, Add(nil, []Extent{{4, 0}, {2, -1}}), nil, "degenerate runs only")
+	eq(t, Add(nil, []Extent{{8, 4}, {0, 4}}), []Extent{{0, 4}, {8, 4}}, "unsorted into empty")
+	list := []Extent{{0, 4}, {8, 4}, {16, 4}}
+	eq(t, Add(append([]Extent(nil), list...), []Extent{{4, 4}}),
+		[]Extent{{0, 12}, {16, 4}}, "bridge absorbs the right-hand neighbour")
+	eq(t, Add(append([]Extent(nil), list...), []Extent{{6, 4}}),
+		[]Extent{{0, 4}, {6, 6}, {16, 4}}, "overlap extends the right-hand neighbour")
+	eq(t, Add(append([]Extent(nil), list...), []Extent{{2, 16}}),
+		[]Extent{{0, 20}}, "one run swallows three")
+	eq(t, Add(append([]Extent(nil), list...), []Extent{{9, 1}}), list, "nested")
+	eq(t, Add(append([]Extent(nil), list...), []Extent{{13, 2}, {24, 4}}),
+		[]Extent{{0, 4}, {8, 4}, {13, 2}, {16, 4}, {24, 4}}, "gaps insert")
+}

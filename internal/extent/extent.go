@@ -13,6 +13,9 @@
 //
 //   - Coalesce: sort and merge adjacent/overlapping runs (the level-1
 //     combine step, OCIO's request flattening).
+//   - Add: merge runs into an already coalesced list in place — the
+//     incremental form of Coalesce that TCIO's level-2 dirty bookkeeping
+//     runs on every shipment.
 //   - Intersect / Subtract: run-list set algebra (hole detection,
 //     read-modify-write prereads, cache accounting).
 //   - SplitAt: cut runs at multiples of a granularity (segment and stripe
@@ -26,6 +29,8 @@
 package extent
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/tcio/tcio/internal/mutate"
@@ -55,7 +60,9 @@ func Coalesce(list []Extent) []Extent {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
+	if !slices.IsSortedFunc(out, byOff) {
+		slices.SortFunc(out, byOff)
+	}
 	merged := out[:0]
 	for _, e := range out {
 		if n := len(merged); n > 0 && merged[n-1].End() >= e.Off {
@@ -68,6 +75,45 @@ func Coalesce(list []Extent) []Extent {
 		merged = append(merged, e)
 	}
 	return merged
+}
+
+func byOff(a, b Extent) int { return cmp.Compare(a.Off, b.Off) }
+
+// Add merges runs into the coalesced list and returns the coalesced
+// union: exactly Coalesce(append(list, runs...)), without re-sorting what
+// is already sorted. Each run binary-searches the neighbours it touches and
+// is spliced over them in place, so merging m runs into n costs
+// O(m log n) comparisons plus the tail moves of the splices that change
+// the list's length — a run extending or bridging existing runs, the
+// common case for interleaved writers filling a segment, moves nothing or
+// shrinks the list. list must be coalesced and its storage is reused; runs
+// may arrive in any order, overlap, or be empty, and are only read (they
+// must not share list's storage).
+func Add(list, runs []Extent) []Extent {
+	for _, r := range runs {
+		if r.Len <= 0 {
+			continue
+		}
+		// list[i:j] are the runs r touches: the first ending at or after
+		// r's start through the last starting at or before r's end.
+		i := sort.Search(len(list), func(k int) bool { return list[k].End() >= r.Off })
+		j := i
+		for j < len(list) && list[j].Off <= r.End() {
+			j++
+		}
+		if i == j {
+			list = slices.Insert(list, i, r)
+			continue
+		}
+		lo, end := min(list[i].Off, r.Off), r.End()
+		if e := list[j-1].End(); e > end &&
+			!(mutate.Enabled(mutate.ExtentDroppedAdd) && list[j-1].Off > r.Off) {
+			end = e
+		}
+		list[i] = Extent{Off: lo, Len: end - lo}
+		list = slices.Delete(list, i+1, j)
+	}
+	return list
 }
 
 // Total sums the lengths of all runs (overlaps counted once only if the

@@ -3,6 +3,7 @@ package extent
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -257,5 +258,38 @@ func TestCoversSpanSubtractEdges(t *testing.T) {
 	}
 	if got := SplitAt([]Extent{{3, 10}}, 4); !reflect.DeepEqual(got, []Extent{{3, 1}, {4, 4}, {8, 4}, {12, 1}}) {
 		t.Fatalf("SplitAt = %v", got)
+	}
+}
+
+// gridList decodes raw fuzz values into runs on an 8-byte grid, so
+// adjacent, nested, duplicate, and zero-length runs — the shapes an
+// incremental merge can get wrong — are common rather than rare.
+func gridList(raw []uint16) []Extent {
+	out := make([]Extent, 0, len(raw)/2)
+	for i := 0; i+1 < len(raw); i += 2 {
+		out = append(out, Extent{Off: int64(raw[i]%60) * 8, Len: int64(raw[i+1]%4) * 8})
+	}
+	return out
+}
+
+// TestAddMatchesCoalesce pins Add to its definition: merging runs into a
+// coalesced list equals Coalesce(append(list, runs...)), for runs in any
+// order, overlapping, adjacent, nested, or empty; runs is left untouched.
+func TestAddMatchesCoalesce(t *testing.T) {
+	for _, gen := range []func([]uint16) []Extent{randList, gridList} {
+		prop := func(rawList, rawRuns []uint16) bool {
+			list := Coalesce(gen(rawList))
+			runs := gen(rawRuns)
+			orig := slices.Clone(runs)
+			want := Coalesce(append(append([]Extent(nil), list...), runs...))
+			got := Add(list, runs)
+			if !reflect.DeepEqual(runs, orig) || !wellFormed(got) {
+				return false
+			}
+			return len(got) == len(want) && (len(got) == 0 || reflect.DeepEqual(got, want))
+		}
+		if err := quick.Check(prop, quickCfg(8)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -42,10 +42,9 @@ func (w *Win) PutGrouped(target int, groups []PutGroup) error {
 
 // PutGroupedAsync is PutGrouped returning an Rput-style handle; see
 // PutSegmentsAsync.
-func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (*PutHandle, error) {
-	h, err := w.epoch(target, "PutGrouped")
-	if err != nil {
-		return nil, err
+func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (PutHandle, error) {
+	if err := w.epoch(target, "PutGrouped"); err != nil {
+		return PutHandle{}, err
 	}
 	buf := w.g.bufs[target]
 	var union []extent.Extent
@@ -53,13 +52,13 @@ func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (*PutHandle, error)
 		var total int64
 		for _, s := range g.Segs {
 			if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-				return nil, fmt.Errorf("mpi: PutGrouped origin %d segment [%d,%d) outside window of %d bytes",
+				return PutHandle{}, fmt.Errorf("mpi: PutGrouped origin %d segment [%d,%d) outside window of %d bytes",
 					g.Origin, s.Off, s.Off+s.Len, len(buf))
 			}
 			total += s.Len
 		}
 		if total != int64(len(g.Data)) {
-			return nil, fmt.Errorf("mpi: PutGrouped origin %d: %d bytes for segments totalling %d",
+			return PutHandle{}, fmt.Errorf("mpi: PutGrouped origin %d: %d bytes for segments totalling %d",
 				g.Origin, len(g.Data), total)
 		}
 		union = append(union, g.Segs...)
@@ -79,10 +78,8 @@ func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (*PutHandle, error)
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(w.c.rank), w.c.w.machine.NodeOf(target),
 		w.c.w.machine.Scale(extent.Total(blocks)), depart, w.class)
-	if arrival > h.maxArrival {
-		h.maxArrival = arrival
-	}
-	return &PutHandle{c: w.c, arrival: arrival}, nil
+	w.noteArrival(target, arrival)
+	return PutHandle{c: w.c, arrival: arrival}, nil
 }
 
 // IntraNodeCopy charges the virtual-time cost of handing realBytes to a

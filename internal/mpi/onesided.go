@@ -100,11 +100,13 @@ type winGlobal struct {
 	locks  []*winLock
 }
 
-// Win is one rank's handle on a window.
+// Win is one rank's handle on a window. held maps each locked target to
+// its epoch record, stored by value so opening an epoch allocates nothing
+// once the map has grown to the rank's working set of targets.
 type Win struct {
 	c     *Comm
 	g     *winGlobal
-	held  map[int]*heldLock
+	held  map[int]heldLock
 	class netsim.Class
 }
 
@@ -146,7 +148,7 @@ func (c *Comm) WinCreate(local []byte) (*Win, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Win{c: c, g: res.(*winGlobal), held: make(map[int]*heldLock), class: netsim.OneSided}, nil
+	return &Win{c: c, g: res.(*winGlobal), held: make(map[int]heldLock), class: netsim.OneSided}, nil
 }
 
 // Size reports the length of the window memory exposed by target.
@@ -194,7 +196,7 @@ func (w *Win) Lock(target int, exclusive bool) error {
 	w.c.clock().AdvanceTo(prevRelease)
 	net := w.c.w.machine.Net
 	w.c.clock().Advance(2*net.Latency + net.SetupOneSided)
-	w.held[target] = &heldLock{exclusive: exclusive}
+	w.held[target] = heldLock{exclusive: exclusive}
 	return nil
 }
 
@@ -223,13 +225,21 @@ func (w *Win) Held(target int) bool {
 	return ok
 }
 
-// epoch returns the held-lock record, erroring when the caller skipped Lock.
-func (w *Win) epoch(target int, op string) (*heldLock, error) {
-	h, ok := w.held[target]
-	if !ok {
-		return nil, fmt.Errorf("mpi: %s to target %d without holding its window lock", op, target)
+// epoch errors when the caller skipped Lock on target.
+func (w *Win) epoch(target int, op string) error {
+	if _, ok := w.held[target]; !ok {
+		return fmt.Errorf("mpi: %s to target %d without holding its window lock", op, target)
 	}
-	return h, nil
+	return nil
+}
+
+// noteArrival records a transfer of the open epoch on target, so Unlock
+// and FlushLocal wait for the latest one.
+func (w *Win) noteArrival(target int, arrival simtime.Time) {
+	if h := w.held[target]; arrival > h.maxArrival {
+		h.maxArrival = arrival
+		w.held[target] = h
+	}
 }
 
 // Put copies data into target's window at offset off (MPI_Put). The
@@ -250,20 +260,21 @@ func (w *Win) PutSegments(target int, segs []datatype.Segment, data []byte) erro
 // PutHandle is an in-flight request-based put (MPI_Rput): the origin may
 // wait for this one transfer's local completion without closing the access
 // epoch it was issued in. Unlock still completes every put of the epoch, so
-// dropping a handle is always safe.
+// dropping a handle is always safe. Handles are values, so pipelined
+// origins can queue them without a heap allocation per put.
 type PutHandle struct {
 	c       *Comm
 	arrival simtime.Time
 }
 
 // Complete waits (in virtual time) for the transfer to retire.
-func (h *PutHandle) Complete() { h.c.clock().AdvanceTo(h.arrival) }
+func (h PutHandle) Complete() { h.c.clock().AdvanceTo(h.arrival) }
 
 // Arrival reports when the transfer retires at the target, without
 // waiting. Pipelines that record where data will be use it to timestamp
 // dependent work — tcio's write-behind stores it with each dirty run so
 // the owner never drains bytes before their virtual-time arrival.
-func (h *PutHandle) Arrival() simtime.Time { return h.arrival }
+func (h PutHandle) Arrival() simtime.Time { return h.arrival }
 
 // PendingArrival reports the latest completion time among the open epoch's
 // transfers to target, without waiting — zero when no epoch is open. It is
@@ -280,21 +291,20 @@ func (w *Win) PendingArrival(target int) simtime.Time {
 // PutSegmentsAsync is PutSegments returning an Rput-style handle, so a
 // pipelined origin can bound its outstanding transfers by retiring the
 // oldest handle instead of closing whole epochs.
-func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte) (*PutHandle, error) {
-	h, err := w.epoch(target, "Put")
-	if err != nil {
-		return nil, err
+func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte) (PutHandle, error) {
+	if err := w.epoch(target, "Put"); err != nil {
+		return PutHandle{}, err
 	}
 	buf := w.g.bufs[target]
 	var total int64
 	for _, s := range segs {
 		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return nil, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+			return PutHandle{}, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
 		}
 		total += s.Len
 	}
 	if total != int64(len(data)) {
-		return nil, fmt.Errorf("mpi: Put %d bytes for segments totalling %d", len(data), total)
+		return PutHandle{}, fmt.Errorf("mpi: Put %d bytes for segments totalling %d", len(data), total)
 	}
 	mu := &w.g.datamu[target]
 	mu.Lock()
@@ -308,10 +318,8 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(w.c.rank), w.c.w.machine.NodeOf(target),
 		w.c.w.machine.Scale(total), depart, w.class)
-	if arrival > h.maxArrival {
-		h.maxArrival = arrival
-	}
-	return &PutHandle{c: w.c, arrival: arrival}, nil
+	w.noteArrival(target, arrival)
+	return PutHandle{c: w.c, arrival: arrival}, nil
 }
 
 // FlushLocal completes all outstanding operations this rank issued to
@@ -319,11 +327,10 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 // the caller's clock waits for their transfers without releasing the lock,
 // so the epoch can keep pipelining afterwards.
 func (w *Win) FlushLocal(target int) error {
-	h, err := w.epoch(target, "FlushLocal")
-	if err != nil {
+	if err := w.epoch(target, "FlushLocal"); err != nil {
 		return err
 	}
-	w.c.clock().AdvanceTo(h.maxArrival)
+	w.c.clock().AdvanceTo(w.held[target].maxArrival)
 	return nil
 }
 
@@ -361,35 +368,64 @@ func (h *GetHandle) Complete() []byte {
 // origin only pays the issue overhead now, and the epoch's Unlock (or the
 // handle's Complete) synchronizes with the transfer. This is how an MPI
 // program overlaps many gets within one lock epoch before a single
-// MPI_Win_unlock.
+// MPI_Win_unlock. The blocks land concatenated in one fresh buffer; see
+// GetSegmentsInto for the allocation-free form.
 func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment) (*GetHandle, error) {
-	h, err := w.epoch(target, "Get")
+	var total int64
+	for _, s := range segs {
+		total += max(s.Len, 0)
+	}
+	out := make([]byte, total)
+	dsts := make([][]byte, len(segs))
+	at := int64(0)
+	for i, s := range segs {
+		n := max(s.Len, 0)
+		dsts[i] = out[at : at+n]
+		at += n
+	}
+	arrival, err := w.GetSegmentsInto(target, segs, dsts)
 	if err != nil {
 		return nil, err
 	}
+	return &GetHandle{c: w.c, data: out, arrival: arrival}, nil
+}
+
+// GetSegmentsInto is GetSegmentsAsync delivering each block straight into
+// the caller's buffer for it: segment i is copied into dsts[i], which must
+// be exactly segs[i].Len bytes long — one indexed get scattering into the
+// readers' own memory, with no intermediate buffer. It returns when the
+// transfer retires; the data is guaranteed once the epoch is unlocked (or
+// the origin's clock has reached that instant).
+func (w *Win) GetSegmentsInto(target int, segs []datatype.Segment, dsts [][]byte) (simtime.Time, error) {
+	if err := w.epoch(target, "Get"); err != nil {
+		return 0, err
+	}
+	if len(dsts) != len(segs) {
+		return 0, fmt.Errorf("mpi: Get %d destinations for %d segments", len(dsts), len(segs))
+	}
 	buf := w.g.bufs[target]
 	var total int64
-	for _, s := range segs {
-		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return nil, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+	for i, s := range segs {
+		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > int64(len(buf)) {
+			return 0, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+		}
+		if int64(len(dsts[i])) != s.Len {
+			return 0, fmt.Errorf("mpi: Get segment %d is %d bytes, destination %d", i, s.Len, len(dsts[i]))
 		}
 		total += s.Len
 	}
-	out := make([]byte, 0, total)
 	mu := &w.g.datamu[target]
 	mu.Lock()
-	for _, s := range segs {
-		out = append(out, buf[s.Off:s.Off+s.Len]...)
+	for i, s := range segs {
+		copy(dsts[i], buf[s.Off:s.Off+s.Len])
 	}
 	mu.Unlock()
 	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(target), w.c.w.machine.NodeOf(w.c.rank),
 		w.c.w.machine.Scale(total), depart, w.class)
-	if arrival > h.maxArrival {
-		h.maxArrival = arrival
-	}
-	return &GetHandle{c: w.c, data: out, arrival: arrival}, nil
+	w.noteArrival(target, arrival)
+	return arrival, nil
 }
 
 // Fence is the collective synchronization alternative (MPI_Win_fence).

@@ -17,6 +17,11 @@ const (
 	// run's length when merging adjacent or overlapping runs, losing the
 	// extension — level-1 flushes ship short payloads.
 	ExtentDroppedCoalesce = "extent.dropped-coalesce"
+	// ExtentDroppedAdd makes extent.Add fail to absorb a right-hand
+	// neighbour that overlaps or abuts the inserted run's end: the merged
+	// run stops at the inserted run's end and the neighbour's tail is lost
+	// from the list — level-2 dirty bookkeeping forgets shipped bytes.
+	ExtentDroppedAdd = "extent.dropped-add"
 	// ExtentLayoutOwnerSkew offsets equation (1)'s owner rank by one in
 	// Layout.Owner only, making it inconsistent with Locate/RankSegment.
 	ExtentLayoutOwnerSkew = "extent.layout-owner-skew"
@@ -70,6 +75,7 @@ const (
 func All() []string {
 	return []string{
 		ExtentDroppedCoalesce,
+		ExtentDroppedAdd,
 		ExtentLayoutOwnerSkew,
 		TCIOStalePrefetchServe,
 		TCIOLostPendingRun,

@@ -1,0 +1,152 @@
+package tcio
+
+// Per-call host cost regression tests: with tracing off, the steady-state
+// POSIX-like calls allocate nothing — no detail strings are formatted and
+// the level-1 block list and read queue reuse their storage. With a trace
+// sink set, the recorded event details keep their exact format.
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/trace"
+)
+
+// allocPieces is how many pieces a warm-up cycle stages, so the measured
+// calls that follow stay within the storage it grew.
+const allocPieces = 64
+
+func TestWriteAtSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	cfg := Config{SegmentSize: 4 * allocPieces, NumSegments: 4}
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := Open(c, "allocw", WriteMode, cfg)
+		if err != nil {
+			return err
+		}
+		piece := []byte{1, 2, 3, 4}
+		// Warm-up: fill segment 0, then move to segment 1 — the realignment
+		// flushes segment 0 and leaves the level-1 block list empty with its
+		// capacity intact.
+		for k := int64(0); k <= allocPieces; k++ {
+			if err := f.WriteAt(4*k, piece); err != nil {
+				return err
+			}
+		}
+		off := cfg.SegmentSize + 4
+		allocs := testing.AllocsPerRun(allocPieces-2, func() {
+			if err := f.WriteAt(off, piece); err != nil {
+				t.Error(err)
+			}
+			off += 4
+		})
+		if allocs != 0 {
+			t.Errorf("WriteAt inside the level-1 segment: %v allocs per call, want 0", allocs)
+		}
+		return f.Close()
+	})
+}
+
+func TestReadAtQueueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	cfg := Config{SegmentSize: 4 * allocPieces, NumSegments: 4, DemandPopulate: true}
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := Open(c, "allocr", ReadMode, cfg)
+		if err != nil {
+			return err
+		}
+		dst := make([]byte, 4*allocPieces)
+		// Warm-up: queue a full segment of reads and fetch them, which grows
+		// the read queue and the fetch scratch, then resets the queue.
+		for k := int64(0); k < allocPieces; k++ {
+			if err := f.ReadAt(4*k, dst[4*k:4*k+4]); err != nil {
+				return err
+			}
+		}
+		if err := f.Fetch(); err != nil {
+			return err
+		}
+		k := int64(0)
+		allocs := testing.AllocsPerRun(allocPieces-1, func() {
+			if err := f.ReadAt(4*k, dst[4*k:4*k+4]); err != nil {
+				t.Error(err)
+			}
+			k++
+		})
+		if allocs != 0 {
+			t.Errorf("ReadAt queueing without a fetch: %v allocs per call, want 0", allocs)
+		}
+		return f.Close()
+	})
+}
+
+// TestTraceDetailsUnchanged pins the detail strings of the per-call and
+// per-shipment events: formatting moved behind the tracing check, not away.
+func TestTraceDetailsUnchanged(t *testing.T) {
+	const procs, piece = 2, 4
+	rec := trace.New(0)
+	cfg := Config{SegmentSize: 16, NumSegments: 2, Trace: rec}
+	// Rank r writes (then reads) 4-byte pieces at r*4 + 8k: two
+	// non-adjacent runs in each of the four 16-byte segments.
+	offs := func(r int) []int64 {
+		var out []int64
+		for k := int64(0); k < 8; k++ {
+			out = append(out, int64(r)*piece+8*k)
+		}
+		return out
+	}
+	run(t, procs, func(c *mpi.Comm) error {
+		w, err := Open(c, "details", WriteMode, cfg)
+		if err != nil {
+			return err
+		}
+		for _, off := range offs(c.Rank()) {
+			if err := w.WriteAt(off, []byte{1, 2, 3, 4}); err != nil {
+				return err
+			}
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		r, err := Open(c, "details", ReadMode, cfg)
+		if err != nil {
+			return err
+		}
+		for _, off := range offs(c.Rank()) {
+			if err := r.ReadAt(off, make([]byte, piece)); err != nil {
+				return err
+			}
+		}
+		if err := r.Fetch(); err != nil {
+			return err
+		}
+		return r.Close()
+	})
+	for rank := 0; rank < procs; rank++ {
+		want := map[trace.Kind][]string{trace.KindFetch: {"segments=4"}}
+		for _, off := range offs(rank) {
+			want[trace.KindWrite] = append(want[trace.KindWrite], fmt.Sprintf("off=%d", off))
+			want[trace.KindRead] = append(want[trace.KindRead], fmt.Sprintf("off=%d", off))
+		}
+		for seg := 0; seg < 4; seg++ {
+			want[trace.KindFlush] = append(want[trace.KindFlush],
+				fmt.Sprintf("seg=%d owner=%d runs=2", seg, seg%procs))
+		}
+		got := map[trace.Kind][]string{}
+		for _, ev := range rec.Events() {
+			if _, ok := want[ev.Kind]; ok && ev.Rank == rank {
+				got[ev.Kind] = append(got[ev.Kind], ev.Detail)
+			}
+		}
+		for kind, details := range want {
+			if fmt.Sprint(got[kind]) != fmt.Sprint(details) {
+				t.Errorf("rank %d %s details = %q, want %q", rank, kind, got[kind], details)
+			}
+		}
+	}
+}

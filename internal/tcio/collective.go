@@ -25,14 +25,14 @@ import (
 // queued must still join the exchange and the barrier, and may still owe
 // staging work for other ranks' intents.
 func (f *File) fetchCollective() error {
-	bySeg, order := f.groupPending()
+	groups := f.groupPending()
 
 	// Exchange read intents. Encoding is fixed-width little-endian
 	// (offset, length) pairs — identical on every platform, so the blob
 	// bytes are part of the deterministic replay surface.
 	var mine []extent.Extent
-	for _, seg := range order {
-		for _, r := range bySeg[seg] {
+	for _, g := range groups {
+		for _, r := range g.reqs {
 			mine = append(mine, extent.Extent{Off: r.off, Len: int64(len(r.dst))})
 		}
 	}
@@ -123,5 +123,5 @@ func (f *File) fetchCollective() error {
 	if err := f.c.Barrier(); err != nil {
 		return err
 	}
-	return f.fetchGets(order, bySeg)
+	return f.fetchGets(groups)
 }

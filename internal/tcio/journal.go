@@ -155,7 +155,7 @@ func (f *File) slotResident(slot int64) bool {
 		return false
 	}
 	seg := f.layout.RankSegment(f.c.Rank(), slot)
-	return len(f.meta.dirtyRuns(seg)) > 0
+	return f.meta.isDirty(seg)
 }
 
 // refaultSlot reads a spilled slot's journaled bytes back from the journal

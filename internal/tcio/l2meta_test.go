@@ -84,6 +84,17 @@ func (m *refL2Meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64) {
 	}
 }
 
+// dirtySnapshot copies a segment's dirty runs under the shard lock: the
+// live list is rewritten in place by addDirty, so tests never hold it.
+func (m *l2meta) dirtySnapshot(seg int64) []extent.Extent {
+	s, sm := m.lock(seg)
+	defer s.mu.Unlock()
+	if sm == nil {
+		return nil
+	}
+	return append([]extent.Extent(nil), sm.dirty...)
+}
+
 func extentsEqual(a, b []extent.Extent) bool {
 	if len(a) != len(b) {
 		return false
@@ -144,8 +155,11 @@ func TestL2MetaShardedMatchesReference(t *testing.T) {
 				if got, want := m.hasDirty(seg), len(ref.pending[seg]) > 0; got != want {
 					t.Fatalf("trial %d step %d hasDirty(%d): got %v want %v", trial, step, seg, got, want)
 				}
-				if got, want := m.dirtyRuns(seg), ref.dirty[seg]; !extentsEqual(got, want) {
-					t.Fatalf("trial %d step %d dirtyRuns(%d): got %v want %v", trial, step, seg, got, want)
+				if got, want := m.dirtySnapshot(seg), ref.dirty[seg]; !extentsEqual(got, want) {
+					t.Fatalf("trial %d step %d dirty runs of %d: got %v want %v", trial, step, seg, got, want)
+				}
+				if got, want := m.isDirty(seg), len(ref.dirty[seg]) > 0; got != want {
+					t.Fatalf("trial %d step %d isDirty(%d): got %v want %v", trial, step, seg, got, want)
 				}
 			case 5:
 				m.setPopulated(seg)

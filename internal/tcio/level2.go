@@ -8,6 +8,7 @@ package tcio
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/tcio/tcio/internal/extent"
@@ -29,106 +30,124 @@ const l2Shards = 16
 // behind lane consumes them), and which segments have been populated from
 // the file system (reads).
 //
-// Every operation touches exactly one segment, so the maps are sharded by
-// segment index: with thousands of rank goroutines shipping concurrently, a
-// single mutex in front of five maps was a global serialization point. Each
-// shard carries its own lock and maps; segments hash to shards by low bits,
-// which spreads the round-robin segment ownership evenly.
+// Every operation touches exactly one segment, so the segments are sharded
+// by index: with thousands of rank goroutines shipping concurrently, a
+// single mutex in front of the metadata was a global serialization point.
+// Each shard carries its own lock and segment map; segments hash to shards
+// by low bits, which spreads the round-robin segment ownership evenly.
+// One map entry holds all of a segment's state, so an operation costs one
+// lookup under the lock.
 type l2meta struct {
 	shards [l2Shards]l2shard
+	// journal arms the unlogged-run bookkeeping the epoch log consumes;
+	// disarmed, the unjournaled write path does zero extra bookkeeping.
+	journal bool
 }
 
-// l2shard holds the metadata of the segments hashing to one shard; see
-// l2meta for the field semantics.
+// l2shard holds the metadata of the segments hashing to one shard.
 type l2shard struct {
-	mu        sync.Mutex
-	dirty     map[int64][]extent.Extent // global segment -> runs (segment-relative)
-	pending   map[int64][]extent.Extent // dirty runs not yet drained
-	populated map[int64]bool
-	// popRuns tracks partial population (the sieved read path): the
-	// segment-relative runs of a not-fully-populated segment whose window
-	// bytes are already valid. Fully populated segments have no entry.
-	popRuns map[int64][]extent.Extent
-	// arrival is, per segment, the latest virtual-time put arrival among
-	// its pending runs. The origin records it at issue time (it knows the
-	// handle's arrival); whoever drains the runs must not depart before it
-	// — the data is not in the owner's window, in virtual time, until then.
-	arrival map[int64]simtime.Time
-	// unlogged tracks, per segment, the dirty runs the owner's journal has
-	// not recorded yet; journalEpoch consumes them at each Flush/Close.
-	// nil when the journal tier is disarmed, so the unjournaled write path
-	// does zero extra bookkeeping.
-	unlogged map[int64][]extent.Extent
+	mu   sync.Mutex
+	segs map[int64]*segMeta // global segment -> its state, created on first write or population
+}
+
+// segMeta is one global segment's shared state. Run lists are segment-
+// relative and coalesced.
+type segMeta struct {
+	dirty   []extent.Extent // every buffered run
+	pending []extent.Extent // dirty runs not yet drained
+	// arrival is the latest virtual-time put arrival among the pending
+	// runs. The origin records it at issue time (it knows the handle's
+	// arrival); whoever drains the runs must not depart before it — the
+	// data is not in the owner's window, in virtual time, until then.
+	arrival simtime.Time
+	// unlogged holds the dirty runs the owner's journal has not recorded
+	// yet; journalEpoch consumes them at each Flush/Close.
+	unlogged  []extent.Extent
+	populated bool
+	// popRuns tracks partial population (the sieved read path): the runs
+	// of a not-fully-populated segment whose window bytes are already
+	// valid. Empty once the segment is fully populated.
+	popRuns []extent.Extent
 }
 
 // newL2Meta builds empty shared metadata for one open file. journal arms
 // the unlogged-run bookkeeping the epoch log consumes.
 func newL2Meta(journal bool) *l2meta {
-	m := &l2meta{}
+	m := &l2meta{journal: journal}
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.dirty = make(map[int64][]extent.Extent)
-		s.pending = make(map[int64][]extent.Extent)
-		s.populated = make(map[int64]bool)
-		s.popRuns = make(map[int64][]extent.Extent)
-		s.arrival = make(map[int64]simtime.Time)
-		if journal {
-			s.unlogged = make(map[int64][]extent.Extent)
-		}
+		m.shards[i].segs = make(map[int64]*segMeta)
 	}
 	return m
 }
 
-// shard returns the shard owning a global segment.
-func (m *l2meta) shard(seg int64) *l2shard {
-	return &m.shards[seg&(l2Shards-1)]
+// lock locks the shard owning a global segment and returns it with the
+// segment's state, nil when the segment was never touched.
+func (m *l2meta) lock(seg int64) (*l2shard, *segMeta) {
+	s := &m.shards[seg&(l2Shards-1)]
+	s.mu.Lock()
+	return s, s.segs[seg]
+}
+
+// lockCreate is lock creating the segment's state on first touch.
+func (m *l2meta) lockCreate(seg int64) (*l2shard, *segMeta) {
+	s, sm := m.lock(seg)
+	if sm == nil {
+		sm = &segMeta{}
+		s.segs[seg] = sm
+	}
+	return s, sm
 }
 
 // addDirty records freshly shipped runs and the virtual time their put
 // retires at the target, so a drain consuming them can respect causality.
+// The run lists stay coalesced by incremental merge (extent.Add), so a
+// shipment costs a binary search per run, not a re-sort of the segment.
+// runs is only read; the caller may reuse it on return.
 func (m *l2meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lockCreate(seg)
 	defer s.mu.Unlock()
-	s.dirty[seg] = extent.Coalesce(append(s.dirty[seg], runs...))
+	sm.dirty = extent.Add(sm.dirty, runs)
 	if mutate.Enabled(mutate.TCIOLostPendingRun) {
-		s.pending[seg] = extent.Coalesce(append([]extent.Extent(nil), runs...))
+		sm.pending = extent.Add(nil, runs)
 	} else {
-		s.pending[seg] = extent.Coalesce(append(s.pending[seg], runs...))
+		sm.pending = extent.Add(sm.pending, runs)
 	}
-	if at > s.arrival[seg] {
-		s.arrival[seg] = at
+	if at > sm.arrival {
+		sm.arrival = at
 	}
-	if s.unlogged != nil {
-		s.unlogged[seg] = extent.Coalesce(append(s.unlogged[seg], runs...))
+	if m.journal {
+		sm.unlogged = extent.Add(sm.unlogged, runs)
 	}
 }
 
 // takeUnlogged removes and returns the segment's not-yet-journaled runs
 // (segment-relative). The owner consumes them at each journalEpoch.
 func (m *l2meta) takeUnlogged(seg int64) []extent.Extent {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lock(seg)
 	defer s.mu.Unlock()
-	runs := s.unlogged[seg]
-	delete(s.unlogged, seg)
+	if sm == nil {
+		return nil
+	}
+	runs := sm.unlogged
+	sm.unlogged = nil
 	return runs
 }
 
-func (m *l2meta) dirtyRuns(seg int64) []extent.Extent {
-	s := m.shard(seg)
-	s.mu.Lock()
+// isDirty reports whether the segment holds any buffered runs, drained or
+// not — whether its window bytes are live data. It answers under the lock
+// instead of handing out the run list, which addDirty rewrites in place.
+func (m *l2meta) isDirty(seg int64) bool {
+	s, sm := m.lock(seg)
 	defer s.mu.Unlock()
-	return s.dirty[seg]
+	return sm != nil && len(sm.dirty) > 0
 }
 
 // hasDirty reports whether the segment still has undrained runs — the
 // prefetch cache refuses to evict such segments.
 func (m *l2meta) hasDirty(seg int64) bool {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lock(seg)
 	defer s.mu.Unlock()
-	return len(s.pending[seg]) > 0
+	return sm != nil && len(sm.pending) > 0
 }
 
 // takePending removes and returns the segment's undrained runs and their
@@ -136,14 +155,7 @@ func (m *l2meta) hasDirty(seg int64) bool {
 // an eager drain re-enter pending, so rewrites are drained again and the
 // last bytes always win.
 func (m *l2meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
-	s := m.shard(seg)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	runs := s.pending[seg]
-	at := s.arrival[seg]
-	delete(s.pending, seg)
-	delete(s.arrival, seg)
-	return runs, at
+	return m.takeCovered(seg, 0)
 }
 
 // takeCovered is takePending gated on coverage: it removes and returns the
@@ -151,32 +163,27 @@ func (m *l2meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
 // behind trigger, evaluated and consumed under one lock so two checks can
 // never drain the same runs twice.
 func (m *l2meta) takeCovered(seg int64, need int64) ([]extent.Extent, simtime.Time) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lock(seg)
 	defer s.mu.Unlock()
-	runs := s.pending[seg]
-	if extent.Total(runs) < need {
+	if sm == nil || extent.Total(sm.pending) < need {
 		return nil, 0
 	}
-	at := s.arrival[seg]
-	delete(s.pending, seg)
-	delete(s.arrival, seg)
+	runs, at := sm.pending, sm.arrival
+	sm.pending, sm.arrival = nil, 0
 	return runs, at
 }
 
 func (m *l2meta) isPopulated(seg int64) bool {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lock(seg)
 	defer s.mu.Unlock()
-	return s.populated[seg]
+	return sm != nil && sm.populated
 }
 
 func (m *l2meta) setPopulated(seg int64) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lockCreate(seg)
 	defer s.mu.Unlock()
-	s.populated[seg] = true
-	delete(s.popRuns, seg)
+	sm.populated = true
+	sm.popRuns = nil
 }
 
 // missingRuns returns the segment-relative parts of needed whose window
@@ -184,13 +191,15 @@ func (m *l2meta) setPopulated(seg int64) {
 // runs (freshly written — newer than the file, so a sieve must never
 // overwrite them with file bytes) all count as present.
 func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lock(seg)
 	defer s.mu.Unlock()
-	if s.populated[seg] {
-		return nil
+	var have []extent.Extent
+	if sm != nil {
+		if sm.populated {
+			return nil
+		}
+		have = append(append(have, sm.popRuns...), sm.dirty...)
 	}
-	have := append(append([]extent.Extent(nil), s.popRuns[seg]...), s.dirty[seg]...)
 	return extent.Subtract(needed, have)
 }
 
@@ -198,16 +207,15 @@ func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent 
 // cover the whole segment window it is promoted to fully populated, so
 // later fetches take the fast path.
 func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, sm := m.lockCreate(seg)
 	defer s.mu.Unlock()
-	if s.populated[seg] {
+	if sm.populated {
 		return
 	}
-	s.popRuns[seg] = extent.Coalesce(append(s.popRuns[seg], runs...))
-	if extent.Covers(s.popRuns[seg], 0, segSize) {
-		s.populated[seg] = true
-		delete(s.popRuns, seg)
+	sm.popRuns = extent.Add(sm.popRuns, runs)
+	if extent.Covers(sm.popRuns, 0, segSize) {
+		sm.populated = true
+		sm.popRuns = nil
 	}
 }
 
@@ -264,7 +272,9 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 	f.stats.PutIssue += t2.Sub(t1)
 	f.meta.addDirty(seg, runs, h.Arrival())
 	f.stats.Level1Flush++
-	f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	if f.tracing() {
+		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	}
 	return f.maybeWriteBehind()
 }
 
@@ -282,7 +292,7 @@ func (f *File) openEpochFor(owner int) error {
 	// window is full.
 	for len(f.openOwners) >= f.cfg.PipelineDepth {
 		coldest := f.openOwners[0]
-		f.openOwners = f.openOwners[1:]
+		f.openOwners = slices.Delete(f.openOwners, 0, 1)
 		f.stats.EpochEvictions++
 		if err := f.win.Unlock(coldest); err != nil {
 			return err
@@ -300,7 +310,7 @@ func (f *File) openEpochFor(owner int) error {
 func (f *File) reserveInflight() {
 	for len(f.inflight) >= f.cfg.PipelineDepth {
 		f.inflight[0].Complete()
-		f.inflight = f.inflight[1:]
+		f.inflight = slices.Delete(f.inflight, 0, 1)
 	}
 }
 
@@ -320,12 +330,12 @@ func (f *File) touchEpoch(owner int) {
 // driver. The fault roll is keyed by this rank's shipment number so chaos
 // runs replay exactly; each backoff burns virtual time on the origin, as a
 // real sender re-posting a dropped work request would.
-func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payload []byte) (*mpi.PutHandle, error) {
+func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payload []byte) (mpi.PutHandle, error) {
 	inj := f.c.Faults()
 	ship := f.shipCount
 	f.shipCount++
 	start := f.c.Now()
-	var handle *mpi.PutHandle
+	var handle mpi.PutHandle
 	end, retries, err := faults.Retry(start, f.retry,
 		func(at simtime.Time, attempt int64) (simtime.Time, error) {
 			f.c.AdvanceTo(at) // charge the preceding backoff, if any
@@ -340,11 +350,13 @@ func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payl
 	f.c.AdvanceTo(end)
 	if retries > 0 {
 		f.stats.Retries += retries
-		f.emit(trace.KindRetry, start, 0,
-			fmt.Sprintf("put seg=%d owner=%d retries=%d", seg, owner, retries))
+		if f.tracing() {
+			f.emit(trace.KindRetry, start, 0,
+				fmt.Sprintf("put seg=%d owner=%d retries=%d", seg, owner, retries))
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tcio: ship segment %d to rank %d: %w", seg, owner, err)
+		return mpi.PutHandle{}, fmt.Errorf("tcio: ship segment %d to rank %d: %w", seg, owner, err)
 	}
 	return handle, nil
 }

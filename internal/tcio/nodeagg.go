@@ -124,7 +124,9 @@ func (f *File) depositForAggregation(seg int64, runs []extent.Extent, payload []
 	f.agg.deposit(aggKey{node: node, seg: seg},
 		aggDeposit{origin: f.c.Rank(), runs: rcopy, payload: pcopy, arrival: arrival})
 	f.stats.Level1Flush++
-	f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	if f.tracing() {
+		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	}
 	return nil
 }
 
@@ -184,7 +186,7 @@ func (f *File) combine(seg int64, deps []aggDeposit) error {
 			winRuns[j] = extent.Extent{Off: slot*f.segSize + r.Off, Len: r.Len}
 		}
 		groups[i] = mpi.PutGroup{Origin: d.origin, Segs: winRuns, Data: d.payload}
-		union = append(union, d.runs...)
+		union = extent.Add(union, d.runs)
 		bytes += int64(len(d.payload))
 		if d.arrival > latest {
 			latest = d.arrival
@@ -205,25 +207,27 @@ func (f *File) combine(seg int64, deps []aggDeposit) error {
 	t2 := f.c.Now()
 	f.stats.LockWait += t1.Sub(t0)
 	f.stats.PutIssue += t2.Sub(t1)
-	f.meta.addDirty(seg, extent.Coalesce(union), h.Arrival())
+	f.meta.addDirty(seg, union, h.Arrival())
 	f.stats.NodeCombines++
 	if f.c.Machine().NodeOf(owner) != f.c.Node() {
 		f.stats.InterNodePutsSaved += int64(len(deps)) - 1
 	}
-	f.emit(trace.KindCombine, t0, bytes,
-		fmt.Sprintf("seg=%d owner=%d origins=%d deposits=%d", seg, owner, origins, len(deps)))
+	if f.tracing() {
+		f.emit(trace.KindCombine, t0, bytes,
+			fmt.Sprintf("seg=%d owner=%d origins=%d deposits=%d", seg, owner, origins, len(deps)))
+	}
 	return nil
 }
 
 // putGroupedRetry is putSegmentsRetry for the combined put: same retry
 // driver, same SiteWinPut roll keyed by this rank's shipment number, so
 // chaos runs replay exactly — a failed roll never issues the put.
-func (f *File) putGroupedRetry(owner int, seg int64, groups []mpi.PutGroup) (*mpi.PutHandle, error) {
+func (f *File) putGroupedRetry(owner int, seg int64, groups []mpi.PutGroup) (mpi.PutHandle, error) {
 	inj := f.c.Faults()
 	ship := f.shipCount
 	f.shipCount++
 	start := f.c.Now()
-	var handle *mpi.PutHandle
+	var handle mpi.PutHandle
 	end, retries, err := faults.Retry(start, f.retry,
 		func(at simtime.Time, attempt int64) (simtime.Time, error) {
 			f.c.AdvanceTo(at)
@@ -238,11 +242,13 @@ func (f *File) putGroupedRetry(owner int, seg int64, groups []mpi.PutGroup) (*mp
 	f.c.AdvanceTo(end)
 	if retries > 0 {
 		f.stats.Retries += retries
-		f.emit(trace.KindRetry, start, 0,
-			fmt.Sprintf("combine seg=%d owner=%d retries=%d", seg, owner, retries))
+		if f.tracing() {
+			f.emit(trace.KindRetry, start, 0,
+				fmt.Sprintf("combine seg=%d owner=%d retries=%d", seg, owner, retries))
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tcio: combine segment %d to rank %d: %w", seg, owner, err)
+		return mpi.PutHandle{}, fmt.Errorf("tcio: combine segment %d to rank %d: %w", seg, owner, err)
 	}
 	return handle, nil
 }

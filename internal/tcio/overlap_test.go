@@ -240,7 +240,8 @@ func TestL2MetaConcurrent(t *testing.T) {
 			defer wg.Done()
 			for s := int64(0); s < segs; s++ {
 				m.addDirty(s, []extent.Extent{{Off: int64(w * perChunk), Len: perChunk}}, simtime.Time(w+1))
-				_ = m.dirtyRuns(s)
+				_ = m.dirtySnapshot(s)
+				_ = m.isDirty(s)
 				_ = m.hasDirty(s)
 				if runs, at := m.takeCovered(s, segSize); len(runs) != 0 {
 					// Full coverage observed: put the runs back the way a
@@ -254,7 +255,7 @@ func TestL2MetaConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for s := int64(0); s < segs; s++ {
-		if got := extent.Total(m.dirtyRuns(s)); got != segSize {
+		if got := extent.Total(m.dirtySnapshot(s)); got != segSize {
 			t.Fatalf("segment %d: dirty total %d, want %d", s, got, segSize)
 		}
 		if !m.isPopulated(s) {

@@ -40,13 +40,13 @@ type prefetchEntry struct {
 // background reads for up to PrefetchSegments forward-consecutive
 // segments. A break in the sequence stops the lookahead — the pipeline
 // only feeds genuinely sequential access.
-func (f *File) maybePrefetch(order []int64, i int) error {
+func (f *File) maybePrefetch(groups []segGroup, i int) error {
 	if f.prefetched == nil {
 		return nil
 	}
-	prev := order[i]
-	for j := i + 1; j < len(order) && j <= i+f.cfg.PrefetchSegments; j++ {
-		seg := order[j]
+	prev := groups[i].seg
+	for j := i + 1; j < len(groups) && j <= i+f.cfg.PrefetchSegments; j++ {
+		seg := groups[j].seg
 		if seg != prev+1 {
 			return nil
 		}

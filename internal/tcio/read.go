@@ -6,10 +6,10 @@ package tcio
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
-	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/trace"
 )
 
@@ -17,6 +17,13 @@ import (
 type readReq struct {
 	off int64
 	dst []byte
+}
+
+// segGroup is the queued reads of one global segment, in queue order.
+type segGroup struct {
+	seg  int64
+	reqs []readReq
+	n    int // len(reqs), counted before the requests are laid out
 }
 
 // Read records a lazy read of n bytes at the current pointer and returns
@@ -66,7 +73,9 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 	}
 	f.stats.Reads++
 	f.stats.BytesRead += int64(len(dst))
-	f.emit(trace.KindRead, f.c.Now(), int64(len(dst)), fmt.Sprintf("off=%d", off))
+	if f.tracing() {
+		f.emit(trace.KindRead, f.c.Now(), int64(len(dst)), fmt.Sprintf("off=%d", off))
+	}
 	for len(dst) > 0 {
 		seg := f.globalSegment(off)
 		segOff := off % f.segSize
@@ -129,7 +138,7 @@ func (f *File) fetchIndependent() error {
 		f.runPostFetch()
 		return nil
 	}
-	bySeg, order := f.groupPending()
+	groups := f.groupPending()
 
 	// Phase 1: make sure every needed segment is populated (only possible
 	// in demand mode; the default preloads at Open). Population needs the
@@ -142,7 +151,8 @@ func (f *File) fetchIndependent() error {
 	// instead of the whole segment; a staged prefetch still wins — its
 	// whole-segment read already happened, so sieving after it would only
 	// re-read bytes the cache holds.
-	for i, seg := range order {
+	for i, g := range groups {
+		seg := g.seg
 		if f.meta.isPopulated(seg) {
 			f.dropWastedPrefetch(seg)
 			continue
@@ -156,12 +166,12 @@ func (f *File) fetchIndependent() error {
 			if e, ok := f.takePrefetched(seg); ok {
 				perr = f.populateFromCache(seg, owner, slot, e)
 			} else if f.sieveArmed() {
-				perr = f.sievePopulate(seg, owner, slot, segmentRuns(bySeg[seg], f.segSize))
+				perr = f.sievePopulate(seg, owner, slot, segmentRuns(g.reqs, f.segSize))
 			} else {
 				perr = f.populate(seg, owner, slot)
 			}
 			if perr == nil {
-				perr = f.maybePrefetch(order, i)
+				perr = f.maybePrefetch(groups, i)
 			}
 			if perr != nil {
 				f.win.Unlock(owner)
@@ -174,71 +184,91 @@ func (f *File) fetchIndependent() error {
 			return err
 		}
 	}
-	return f.fetchGets(order, bySeg)
+	return f.fetchGets(groups)
 }
 
 // groupPending groups the queued lazy reads by global segment, in first-
-// appearance order (requests may span several segments when a single
-// ReadAt crossed a boundary), and resets the queue.
-func (f *File) groupPending() (map[int64][]readReq, []int64) {
-	bySeg := make(map[int64][]readReq)
-	var order []int64
+// appearance order, keeping queue order within each segment (a stable
+// counting sort; ReadAt already split every request at segment
+// boundaries), and resets the queue. The groups and their requests live
+// in per-session scratch, valid until the next call.
+func (f *File) groupPending() []segGroup {
+	if f.segIdx == nil {
+		f.segIdx = make(map[int64]int)
+	}
+	clear(f.segIdx)
+	groups, idx := f.groups[:0], f.reqGroup[:0]
 	for _, r := range f.pending {
 		seg := f.globalSegment(r.off)
-		if _, ok := bySeg[seg]; !ok {
-			order = append(order, seg)
+		g, ok := f.segIdx[seg]
+		if !ok {
+			g = len(groups)
+			f.segIdx[seg] = g
+			groups = append(groups, segGroup{seg: seg})
 		}
-		bySeg[seg] = append(bySeg[seg], r)
+		groups[g].n++
+		idx = append(idx, g)
 	}
+	grouped := slices.Grow(f.grouped[:0], len(f.pending))[:len(f.pending)]
+	at := 0
+	for i := range groups {
+		groups[i].reqs = grouped[at : at : at+groups[i].n]
+		at += groups[i].n
+	}
+	for k, r := range f.pending {
+		groups[idx[k]].reqs = append(groups[idx[k]].reqs, r)
+	}
+	f.groups, f.reqGroup, f.grouped = groups, idx, grouped
 	f.pending = f.pending[:0]
 	f.pendingSeg = -1
 	f.pendingDistinct = 0
-	return bySeg, order
+	return groups
 }
 
 // fetchGets is the data-movement phase shared by the independent and
 // collective fetch paths: shared-lock each owner once, issue every
 // segment's get asynchronously, then unlock — Unlock synchronizes with the
-// epoch's transfers, so the waits overlap across owners and segments.
-func (f *File) fetchGets(order []int64, bySeg map[int64][]readReq) error {
-	if len(order) == 0 {
+// epoch's transfers, so the waits overlap across owners and segments. Each
+// get scatters straight into its readers' destination slices.
+func (f *File) fetchGets(groups []segGroup) error {
+	if len(groups) == 0 {
 		f.runPostFetch()
 		return nil
 	}
-	type pendingGet struct {
-		handle *mpi.GetHandle
-		reqs   []readReq
+	if f.ownerSeen == nil {
+		f.ownerSeen = make(map[int]bool)
 	}
-	owners := make(map[int]bool)
-	var lockOrder []int
-	for _, seg := range order {
-		owner, _ := f.segmentOwner(seg)
-		if !owners[owner] {
-			owners[owner] = true
+	clear(f.ownerSeen)
+	lockOrder := f.lockOrder[:0]
+	for _, g := range groups {
+		owner, _ := f.segmentOwner(g.seg)
+		if !f.ownerSeen[owner] {
+			f.ownerSeen[owner] = true
 			lockOrder = append(lockOrder, owner)
 		}
 	}
+	f.lockOrder = lockOrder
 	for _, owner := range lockOrder {
 		if err := f.win.Lock(owner, false); err != nil {
 			return err
 		}
 	}
-	gets := make([]pendingGet, 0, len(order))
 	var issueErr error
-	for _, seg := range order {
-		owner, slot := f.segmentOwner(seg)
-		reqs := bySeg[seg]
-		runs := make([]extent.Extent, len(reqs))
-		for i, r := range reqs {
-			runs[i] = extent.Extent{Off: slot*f.segSize + r.off%f.segSize, Len: int64(len(r.dst))}
+	var fetched int64
+	for _, g := range groups {
+		owner, slot := f.segmentOwner(g.seg)
+		runs, dsts := f.getRuns[:0], f.getDsts[:0]
+		for _, r := range g.reqs {
+			runs = append(runs, extent.Extent{Off: slot*f.segSize + r.off%f.segSize, Len: int64(len(r.dst))})
+			dsts = append(dsts, r.dst)
+			fetched += int64(len(r.dst))
 		}
-		h, err := f.win.GetSegmentsAsync(owner, runs)
-		if err != nil {
+		f.getRuns, f.getDsts = runs, dsts
+		if _, err := f.win.GetSegmentsInto(owner, runs, dsts); err != nil {
 			issueErr = err
 			break
 		}
 		f.stats.Gets++
-		gets = append(gets, pendingGet{handle: h, reqs: reqs})
 	}
 	for _, owner := range lockOrder {
 		if err := f.win.Unlock(owner); err != nil && issueErr == nil {
@@ -248,23 +278,10 @@ func (f *File) fetchGets(order []int64, bySeg map[int64][]readReq) error {
 	if issueErr != nil {
 		return issueErr
 	}
-	// All epochs are closed: every get's data is complete. Scatter it.
-	fetchStart := f.c.Now()
-	var fetched int64
-	for _, g := range gets {
-		data := g.handle.Complete()
-		at := int64(0)
-		for _, r := range g.reqs {
-			copy(r.dst, data[at:at+int64(len(r.dst))])
-			at += int64(len(r.dst))
-		}
+	// All epochs are closed: every get's data is complete.
+	if f.tracing() {
+		f.emit(trace.KindFetch, f.c.Now(), fetched, fmt.Sprintf("segments=%d", len(groups)))
 	}
-	for _, g := range gets {
-		for _, r := range g.reqs {
-			fetched += int64(len(r.dst))
-		}
-	}
-	f.emit(trace.KindFetch, fetchStart, fetched, fmt.Sprintf("segments=%d", len(gets)))
 	f.runPostFetch()
 	return nil
 }

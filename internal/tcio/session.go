@@ -63,7 +63,7 @@ type session struct {
 	openOwners []int
 	// inflight is the window of outstanding Rput handles; PipelineDepth
 	// bounds its length, retiring the oldest transfer when full.
-	inflight []*mpi.PutHandle
+	inflight []mpi.PutHandle
 	// shipCount numbers this rank's one-sided shipments; it keys the
 	// deterministic fault rolls of the put path.
 	shipCount int64
@@ -123,6 +123,18 @@ type session struct {
 	// postFetch hooks run after the next completed Fetch — used by typed
 	// reads to unpack staged bytes into the caller's layout.
 	postFetch []func()
+	// Fetch scratch, reused so a steady-state fetch allocates nothing:
+	// groupPending's segment index, groups, per-request group numbers and
+	// grouped requests; fetchGets' owner set, lock order, and one get's
+	// window runs and destination slices.
+	segIdx    map[int64]int
+	groups    []segGroup
+	reqGroup  []int
+	grouped   []readReq
+	ownerSeen map[int]bool
+	lockOrder []int
+	getRuns   []extent.Extent
+	getDsts   [][]byte
 
 	stats Stats
 }

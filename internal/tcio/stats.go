@@ -97,11 +97,13 @@ type Stats struct {
 // Stats returns this rank's activity counters.
 func (f *File) Stats() Stats { return f.stats }
 
-// emit records a trace event when tracing is enabled.
+// tracing reports whether a trace sink is set. Every emit call site checks
+// it first, so an event's detail string is formatted only when the event
+// is recorded: with tracing off, the per-call path formats nothing.
+func (f *File) tracing() bool { return f.cfg.Trace != nil }
+
+// emit records a trace event; callers guard it with tracing().
 func (f *File) emit(kind trace.Kind, start simtime.Time, bytes int64, detail string) {
-	if f.cfg.Trace == nil {
-		return
-	}
 	f.cfg.Trace.Record(trace.Event{
 		Rank:   f.c.Rank(),
 		Start:  start,
