@@ -1,6 +1,10 @@
 package art
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -266,6 +270,86 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+func TestRestoreRejectsCorruptIndex(t *testing.T) {
+	// Each case rewrites one field of a valid three-tree checkpoint; Restore
+	// must return an error — ErrCorruptIndex for the index fields — not
+	// panic or exhaust memory allocating from the bad value.
+	const ntrees = 3
+	offset := func(img []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(img[12+8*i:])) }
+	setOffset := func(img []byte, i int, v int64) { binary.LittleEndian.PutUint64(img[12+8*i:], uint64(v)) }
+	cases := []struct {
+		name    string
+		index   bool
+		corrupt func([]byte)
+	}{
+		{"offset below its predecessor", true, func(img []byte) { setOffset(img, 2, offset(img, 1)-8) }},
+		{"record shorter than its header", true, func(img []byte) { setOffset(img, 2, offset(img, 1)+headerSize/2) }},
+		{"tree count beyond the file", true, func(img []byte) { binary.LittleEndian.PutUint64(img[4:], 1<<40) }},
+		{"first record inside the index", true, func(img []byte) { setOffset(img, 0, offset(img, 0)-8) }},
+		{"last record past the end", true, func(img []byte) { setOffset(img, ntrees, offset(img, ntrees)+1) }},
+		{"level count beyond its record", false, func(img []byte) {
+			// Tree 0's header, level 1 count (the first level is the root).
+			binary.LittleEndian.PutUint32(img[offset(img, 0)+20+4:], 1<<30)
+		}},
+	}
+	for _, lib := range []Library{LibVanilla, LibTCIO} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%v/%s", lib, tc.name), func(t *testing.T) {
+				runArt(t, 1, func(c *mpi.Comm) error {
+					trees := GenerateForRank(ntrees, 2, 1, 0, 3)
+					if err := Dump(c, LibVanilla, "good", trees, ntrees, 256); err != nil {
+						return err
+					}
+					img := c.FS().Open("good").Snapshot()
+					tc.corrupt(img)
+					if _, err := c.FS().Open("bad").WriteAt(0, 0, img, 0); err != nil {
+						return err
+					}
+					_, err := Restore(c, lib, "bad")
+					if err == nil || tc.index && !errors.Is(err, ErrCorruptIndex) {
+						return fmt.Errorf("Restore = %v, want an error (ErrCorruptIndex: %v)", err, tc.index)
+					}
+					return nil
+				})
+			})
+		}
+	}
+}
+
+// tableIVCheckpointSHA256 is the SHA-256 of the paper's Table IV
+// checkpoint (1024 trees, 2 variables, seed 5) as Dump lays it out, pinned
+// from the per-cell implementation the slab-backed trees replaced.
+const tableIVCheckpointSHA256 = "a50245e5c8d4abb745ddecf54dd5df3ef0132848a6a7e4fac3325a90830d972b"
+
+func TestTableIVCheckpointGolden(t *testing.T) {
+	const ntrees, vars = 1024, 2
+	trees := GenerateForRank(ntrees, vars, 1, 0, TableIV.Seed)
+	// Assemble the file as Dump does: the index, then every tree's
+	// pieces at their record offsets.
+	offsets := make([]int64, ntrees+1)
+	offsets[0] = ckptHeaderSize(ntrees)
+	for i, tr := range trees {
+		offsets[i+1] = offsets[i] + tr.EncodedSize()
+	}
+	img := make([]byte, offsets[ntrees])
+	binary.LittleEndian.PutUint32(img, ckptMagic)
+	binary.LittleEndian.PutUint64(img[4:], ntrees)
+	for i, off := range offsets {
+		binary.LittleEndian.PutUint64(img[12+8*i:], uint64(off))
+	}
+	for i, tr := range trees {
+		for _, p := range tr.Pieces() {
+			copy(img[offsets[i]+p.Off:], p.Data)
+		}
+		if !bytes.Equal(tr.Encode(), img[offsets[i]:offsets[i+1]]) {
+			t.Fatalf("tree %d: Encode differs from its pieces", i)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != tableIVCheckpointSHA256 {
+		t.Fatalf("Table IV checkpoint SHA-256 = %s, want %s", got, tableIVCheckpointSHA256)
+	}
 }
 
 func TestLibraryString(t *testing.T) {

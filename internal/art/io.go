@@ -2,6 +2,7 @@ package art
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"github.com/tcio/tcio/internal/mpi"
@@ -171,7 +172,15 @@ func Restore(c *mpi.Comm, lib Library, name string) ([]*Tree, error) {
 	if binary.LittleEndian.Uint32(head) != ckptMagic {
 		return nil, fmt.Errorf("art: bad checkpoint magic %#x", binary.LittleEndian.Uint32(head))
 	}
-	ntrees := int(binary.LittleEndian.Uint64(head[4:]))
+	// The index is untrusted input: validate it before allocating from it.
+	// A count the file cannot hold, or offsets that step backwards, leave
+	// the file, or leave a record shorter than its header are corruption,
+	// not a reason to panic or exhaust memory.
+	count := binary.LittleEndian.Uint64(head[4:])
+	if size < ckptHeaderSize(0) || count > uint64(size-ckptHeaderSize(0))/8 {
+		return nil, fmt.Errorf("art: %w: %d trees do not fit a %d-byte file", ErrCorruptIndex, count, size)
+	}
+	ntrees := int(count)
 	offTable := make([]byte, (ntrees+1)*8)
 	if err := be.ReadAt(12, offTable); err != nil {
 		return nil, err
@@ -183,11 +192,19 @@ func Restore(c *mpi.Comm, lib Library, name string) ([]*Tree, error) {
 	for i := range offsets {
 		offsets[i] = int64(binary.LittleEndian.Uint64(offTable[8*i:]))
 	}
+	if err := validateIndex(offsets, size); err != nil {
+		return nil, err
+	}
 
 	var out []*Tree
+	var buf []byte // one record buffer, reused across this rank's trees
 	for _, id := range OwnedBy(ntrees, c.Size(), c.Rank()) {
 		base := offsets[id]
-		rec := make([]byte, offsets[id+1]-base)
+		recLen := offsets[id+1] - base
+		if int64(cap(buf)) < recLen {
+			buf = make([]byte, recLen)
+		}
+		rec := buf[:recLen]
 
 		// Header first: the record is self-describing, so the piece
 		// layout is known only after parsing it.
@@ -201,9 +218,15 @@ func Restore(c *mpi.Comm, lib Library, name string) ([]*Tree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("art: tree %d: %w", id, err)
 		}
-		// Then each array with its own (lazy) read call.
+		// Then each array with its own (lazy) read call. The level counts
+		// must fit the record: rec is a window into a reused buffer, so
+		// slicing past its length would not fault but read stale bytes.
 		off := int64(headerSize)
+		cellBytes := 1 + 8*int64(vars)
 		for _, n := range counts {
+			if int64(n) > (recLen-off)/cellBytes {
+				return nil, fmt.Errorf("art: tree %d: record of %d bytes truncated at level with %d cells", id, recLen, n)
+			}
 			if err := be.ReadAt(base+off, rec[off:off+int64(n)]); err != nil {
 				return nil, err
 			}
@@ -231,6 +254,27 @@ func Restore(c *mpi.Comm, lib Library, name string) ([]*Tree, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ErrCorruptIndex reports a checkpoint whose index cannot describe the
+// file it heads; Restore wraps it with the offending value.
+var ErrCorruptIndex = errors.New("corrupt checkpoint index")
+
+// validateIndex checks a checkpoint's record offsets against the file: the
+// first record starts right after the index, every record is at least a
+// header long (so offsets never step backwards), and none ends past size.
+func validateIndex(offsets []int64, size int64) error {
+	ntrees := len(offsets) - 1
+	if offsets[0] != ckptHeaderSize(ntrees) {
+		return fmt.Errorf("art: %w: first record at %d, want %d", ErrCorruptIndex, offsets[0], ckptHeaderSize(ntrees))
+	}
+	for i := 1; i <= ntrees; i++ {
+		if offsets[i] < offsets[i-1]+headerSize || offsets[i] > size {
+			return fmt.Errorf("art: %w: tree %d spans [%d,%d) in a %d-byte file",
+				ErrCorruptIndex, i-1, offsets[i-1], offsets[i], size)
+		}
+	}
+	return nil
 }
 
 // openBackend builds the requested I/O stack over the shared file.

@@ -64,6 +64,13 @@ func (t *Tree) Depth() int { return len(t.Levels) }
 // Generate builds a tree of roughly targetCells cells by randomly refining
 // cells level by level until the budget is met. Generation is deterministic
 // for a given rng state.
+//
+// Each level is reserved once and its cells' values are drawn into one
+// slab: a cell's Vals is a capped window into its level's slab, so a tree
+// costs two allocations per level instead of one per cell. The bound on a
+// level's size follows from the budget: refining stops once the total
+// reaches targetCells, so at most ceil((targetCells-total)/8) parents
+// refine, each adding 8 cells.
 func Generate(id int64, targetCells, vars int, rng *rand.Rand) *Tree {
 	if targetCells < 1 {
 		targetCells = 1
@@ -72,30 +79,34 @@ func Generate(id int64, targetCells, vars int, rng *rand.Rand) *Tree {
 		vars = 1
 	}
 	t := &Tree{ID: id, Vars: vars}
-	mkCell := func(level int) Cell {
-		vals := make([]float64, vars)
-		for v := range vals {
-			vals[v] = float64(id)*1e6 + float64(level)*1e3 + rng.Float64()
+	// draw appends one cell of the given level to cells, drawing its vars
+	// values into slab. The rng order — a cell's values in turn, between
+	// its parent's refinement draws — fixes the checkpoint bytes.
+	draw := func(cells []Cell, slab []float64, level int) ([]Cell, []float64) {
+		base := float64(id)*1e6 + float64(level)*1e3
+		at := len(slab)
+		for v := 0; v < vars; v++ {
+			slab = append(slab, base+rng.Float64())
 		}
-		return Cell{Vals: vals}
+		return append(cells, Cell{Vals: slab[at : at+vars : at+vars]}), slab
 	}
-	t.Levels = [][]Cell{{mkCell(0)}}
+	root, _ := draw(make([]Cell, 0, 1), make([]float64, 0, vars), 0)
+	t.Levels = [][]Cell{root}
 	total := 1
 	for level := 0; total < targetCells && level < MaxDepth-1; level++ {
-		if level >= len(t.Levels) {
-			break
-		}
-		var next []Cell
-		for i := range t.Levels[level] {
+		cur := t.Levels[level]
+		bound := 8 * min(len(cur), (targetCells-total+7)/8)
+		next, slab := make([]Cell, 0, bound), make([]float64, 0, bound*vars)
+		for i := range cur {
 			if total >= targetCells {
 				break
 			}
 			// Refine with decreasing probability by depth, so trees get
 			// the top-heavy shape of AMR hierarchies.
 			if rng.Float64() < 0.9 {
-				t.Levels[level][i].Refined = true
+				cur[i].Refined = true
 				for c := 0; c < 8; c++ {
-					next = append(next, mkCell(level+1))
+					next, slab = draw(next, slab, level+1)
 				}
 				total += 8
 			}
@@ -156,47 +167,50 @@ func (t *Tree) EncodedSize() int64 {
 
 // Pieces decomposes the record into its constituent arrays, in file order:
 // header, then per level a refinement map and Vars value arrays. This is
-// the sequence of individual I/O calls ART issues per tree.
+// the sequence of individual I/O calls ART issues per tree. The pieces are
+// windows into one encoded record, not one buffer each.
 func (t *Tree) Pieces() []Piece {
+	rec := t.Encode()
 	pieces := make([]Piece, 0, 1+len(t.Levels)*(1+t.Vars))
-
-	hdr := make([]byte, headerSize)
-	binary.LittleEndian.PutUint32(hdr[0:], Magic)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(t.ID))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(t.Vars))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(t.Levels)))
-	for l, lv := range t.Levels {
-		binary.LittleEndian.PutUint32(hdr[20+4*l:], uint32(len(lv)))
-	}
-	pieces = append(pieces, Piece{Name: "header", Off: 0, Data: hdr})
-
+	pieces = append(pieces, Piece{Name: "header", Off: 0, Data: rec[:headerSize:headerSize]})
 	off := int64(headerSize)
 	for l, lv := range t.Levels {
-		ref := make([]byte, len(lv))
-		for i, cell := range lv {
-			if cell.Refined {
-				ref[i] = 1
-			}
-		}
-		pieces = append(pieces, Piece{Name: fmt.Sprintf("refine[%d]", l), Off: off, Data: ref})
-		off += int64(len(ref))
+		n := int64(len(lv))
+		pieces = append(pieces, Piece{Name: fmt.Sprintf("refine[%d]", l), Off: off, Data: rec[off : off+n : off+n]})
+		off += n
 		for v := 0; v < t.Vars; v++ {
-			vals := make([]byte, 8*len(lv))
-			for i, cell := range lv {
-				binary.LittleEndian.PutUint64(vals[8*i:], uint64FromFloat(cell.Vals[v]))
-			}
-			pieces = append(pieces, Piece{Name: fmt.Sprintf("var%d[%d]", v, l), Off: off, Data: vals})
-			off += int64(len(vals))
+			pieces = append(pieces, Piece{Name: fmt.Sprintf("var%d[%d]", v, l), Off: off, Data: rec[off : off+8*n : off+8*n]})
+			off += 8 * n
 		}
 	}
 	return pieces
 }
 
-// Encode serializes the record densely.
+// Encode serializes the record densely: the header, then per level the
+// refinement map (one byte per cell) and the Vars value arrays.
 func (t *Tree) Encode() []byte {
 	out := make([]byte, t.EncodedSize())
-	for _, p := range t.Pieces() {
-		copy(out[p.Off:], p.Data)
+	binary.LittleEndian.PutUint32(out[0:], Magic)
+	binary.LittleEndian.PutUint64(out[4:], uint64(t.ID))
+	binary.LittleEndian.PutUint32(out[12:], uint32(t.Vars))
+	binary.LittleEndian.PutUint32(out[16:], uint32(len(t.Levels)))
+	for l, lv := range t.Levels {
+		binary.LittleEndian.PutUint32(out[20+4*l:], uint32(len(lv)))
+	}
+	off := headerSize
+	for _, lv := range t.Levels {
+		for i, cell := range lv {
+			if cell.Refined {
+				out[off+i] = 1
+			}
+		}
+		off += len(lv)
+		for v := 0; v < t.Vars; v++ {
+			for i, cell := range lv {
+				binary.LittleEndian.PutUint64(out[off+8*i:], uint64FromFloat(cell.Vals[v]))
+			}
+			off += 8 * len(lv)
+		}
 	}
 	return out
 }
@@ -222,31 +236,34 @@ func DecodeHeader(hdr []byte) (id int64, vars int, counts []int, err error) {
 	return id, vars, counts, nil
 }
 
-// Decode reconstructs a tree from its serialized record.
+// Decode reconstructs a tree from its serialized record. Each level's
+// values land in one slab, windowed per cell as Generate does.
 func Decode(rec []byte) (*Tree, error) {
 	id, vars, counts, err := DecodeHeader(rec)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{ID: id, Vars: vars}
+	t := &Tree{ID: id, Vars: vars, Levels: make([][]Cell, 0, len(counts))}
 	off := int64(headerSize)
+	// cellBytes is one cell's share of a level: its refinement byte and
+	// its values. Dividing the remaining bytes by it, rather than
+	// multiplying the header's counts, keeps a corrupt count from
+	// overflowing the truncation check.
+	cellBytes := 1 + 8*int64(vars)
 	for _, n := range counts {
-		need := off + int64(n) + int64(n)*int64(vars)*8
-		if need > int64(len(rec)) {
+		if int64(n) > (int64(len(rec))-off)/cellBytes {
 			return nil, fmt.Errorf("art: record truncated at level with %d cells", n)
 		}
 		cells := make([]Cell, n)
+		slab := make([]float64, n*vars)
 		for i := 0; i < n; i++ {
 			cells[i].Refined = rec[off+int64(i)] == 1
+			cells[i].Vals = slab[i*vars : (i+1)*vars : (i+1)*vars]
 		}
 		off += int64(n)
 		for v := 0; v < vars; v++ {
 			for i := 0; i < n; i++ {
-				bits := binary.LittleEndian.Uint64(rec[off+int64(8*i):])
-				if cells[i].Vals == nil {
-					cells[i].Vals = make([]float64, vars)
-				}
-				cells[i].Vals[v] = floatFromUint64(bits)
+				slab[i*vars+v] = floatFromUint64(binary.LittleEndian.Uint64(rec[off+int64(8*i):]))
 			}
 			off += int64(8 * n)
 		}

@@ -1,13 +1,16 @@
 package mpi
 
 // Host hot-path micro-benchmarks (size-swept per SNIPPETS.md Snippet 2):
-// the collective barrier under growing rank counts and mailbox matching
-// under growing queue depths. These measure *host* wall-clock cost — the
-// virtual-time results are pinned elsewhere and must not change.
+// the collective barrier under growing rank counts, mailbox matching
+// under growing queue depths, and indexed puts under growing run counts.
+// These measure *host* wall-clock cost — the virtual-time results are
+// pinned elsewhere and must not change.
 
 import (
 	"fmt"
 	"testing"
+
+	"github.com/tcio/tcio/internal/datatype"
 )
 
 // BenchmarkBarrier crosses one collective barrier per op at each rank
@@ -146,5 +149,62 @@ func BenchmarkRPCEncode(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkPutSegments issues one indexed put of runs scattered blocks per
+// op, the shape of a level-1 flush: each block sits in a segment-sized
+// origin buffer at its segment offset, every other 64-byte slot. "packed"
+// first copies the blocks into a contiguous payload, as a flush had to
+// before PutSegmentsFrom; "gathered" passes each block where it lies.
+// Both ranks share a node, so the transfer is a memory copy and the op
+// measures the put path itself.
+func BenchmarkPutSegments(b *testing.B) {
+	const blk = 64
+	for _, runs := range []int{1, 16, 256} {
+		segs := make([]datatype.Segment, runs)
+		for i := range segs {
+			segs[i] = datatype.Segment{Off: int64(2 * blk * i), Len: blk}
+		}
+		origin := make([]byte, 2*blk*runs)
+		for _, mode := range []string{"packed", "gathered"} {
+			b.Run(fmt.Sprintf("runs=%d/%s", runs, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(blk * runs))
+				payload := make([]byte, 0, blk*runs)
+				srcs := make([][]byte, 0, runs)
+				_, err := Run(Config{Procs: 2}, func(c *Comm) error {
+					win, err := c.WinCreate(make([]byte, len(origin)))
+					if err != nil || c.Rank() != 0 {
+						return err
+					}
+					if err := win.Lock(1, false); err != nil {
+						return err
+					}
+					for i := 0; i < b.N; i++ {
+						if mode == "packed" {
+							payload = payload[:0]
+							for _, s := range segs {
+								payload = append(payload, origin[s.Off:s.Off+s.Len]...)
+							}
+							_, err = win.PutSegmentsAsync(1, segs, payload)
+						} else {
+							srcs = srcs[:0]
+							for _, s := range segs {
+								srcs = append(srcs, origin[s.Off:s.Off+s.Len])
+							}
+							_, err = win.PutSegmentsFrom(1, segs, srcs)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					return win.Unlock(1)
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/tcio/tcio/internal/datatype"
+	"github.com/tcio/tcio/internal/mutate"
 	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
 )
@@ -102,12 +103,14 @@ type winGlobal struct {
 
 // Win is one rank's handle on a window. held maps each locked target to
 // its epoch record, stored by value so opening an epoch allocates nothing
-// once the map has grown to the rank's working set of targets.
+// once the map has grown to the rank's working set of targets. srcs is
+// PutSegmentsAsync's reused per-block source list.
 type Win struct {
 	c     *Comm
 	g     *winGlobal
 	held  map[int]heldLock
 	class netsim.Class
+	srcs  [][]byte
 }
 
 // SetClass overrides the network message class used by this handle's puts
@@ -290,28 +293,63 @@ func (w *Win) PendingArrival(target int) simtime.Time {
 
 // PutSegmentsAsync is PutSegments returning an Rput-style handle, so a
 // pipelined origin can bound its outstanding transfers by retiring the
-// oldest handle instead of closing whole epochs.
+// oldest handle instead of closing whole epochs. data holds the blocks
+// packed in segment order; see PutSegmentsFrom for the gathering form.
 func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte) (PutHandle, error) {
-	if err := w.epoch(target, "Put"); err != nil {
-		return PutHandle{}, err
-	}
-	buf := w.g.bufs[target]
 	var total int64
 	for _, s := range segs {
-		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return PutHandle{}, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
-		}
-		total += s.Len
+		total += max(s.Len, 0)
 	}
 	if total != int64(len(data)) {
 		return PutHandle{}, fmt.Errorf("mpi: Put %d bytes for segments totalling %d", len(data), total)
 	}
+	srcs := w.srcs[:0]
+	at := int64(0)
+	for _, s := range segs {
+		n := max(s.Len, 0)
+		srcs = append(srcs, data[at:at+n])
+		at += n
+	}
+	h, err := w.PutSegmentsFrom(target, segs, srcs)
+	clear(srcs) // hold no reference to the caller's data past the put
+	w.srcs = srcs[:0]
+	return h, err
+}
+
+// PutSegmentsFrom is PutSegmentsAsync gathering each block straight from
+// the caller's memory: segment i's bytes come from srcs[i], which must be
+// exactly segs[i].Len bytes long — one indexed put whose origin datatype
+// describes the data where it lies, so the caller never packs it into a
+// contiguous buffer first. It is the mirror of GetSegmentsInto, and its
+// charge is PutSegmentsAsync's for the same segments.
+func (w *Win) PutSegmentsFrom(target int, segs []datatype.Segment, srcs [][]byte) (PutHandle, error) {
+	if err := w.epoch(target, "Put"); err != nil {
+		return PutHandle{}, err
+	}
+	if len(srcs) != len(segs) {
+		return PutHandle{}, fmt.Errorf("mpi: Put %d sources for %d segments", len(srcs), len(segs))
+	}
+	buf := w.g.bufs[target]
+	var total int64
+	for i, s := range segs {
+		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > int64(len(buf)) {
+			return PutHandle{}, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+		}
+		if int64(len(srcs[i])) != s.Len {
+			return PutHandle{}, fmt.Errorf("mpi: Put segment %d is %d bytes, source %d", i, s.Len, len(srcs[i]))
+		}
+		total += s.Len
+	}
 	mu := &w.g.datamu[target]
 	mu.Lock()
-	pos := int64(0)
-	for _, s := range segs {
-		copy(buf[s.Off:s.Off+s.Len], data[pos:pos+s.Len])
-		pos += s.Len
+	for i, s := range segs {
+		src := srcs[i]
+		if mutate.Enabled(mutate.MPIPutFromSkew) && i > 0 {
+			// Deliberate bug: gather each block from the previous run's
+			// source.
+			src = srcs[i-1]
+		}
+		copy(buf[s.Off:s.Off+s.Len], src)
 	}
 	mu.Unlock()
 	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)

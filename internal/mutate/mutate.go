@@ -69,6 +69,10 @@ const (
 	// fill skip the file system read, caching (and serving) zeroed blocks
 	// — the stale-serve bug the cache's coherence rules exist to prevent.
 	DelegateCacheStaleServe = "delegate.cache-stale-serve"
+	// MPIPutFromSkew makes the gathering put copy every block after the
+	// first from the previous block's source — level-1 flushes land the
+	// wrong bytes at every run but the first.
+	MPIPutFromSkew = "mpi.put-from-skew"
 )
 
 // All lists every mutant the gate must catch.
@@ -89,5 +93,6 @@ func All() []string {
 		WALSkipCommitMarker,
 		TCIOSpillDropDirty,
 		DelegateCacheStaleServe,
+		MPIPutFromSkew,
 	}
 }

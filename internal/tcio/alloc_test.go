@@ -3,12 +3,16 @@ package tcio
 // Per-call host cost regression tests: with tracing off, the steady-state
 // POSIX-like calls allocate nothing — no detail strings are formatted and
 // the level-1 block list and read queue reuse their storage. With a trace
-// sink set, the recorded event details keep their exact format.
+// sink set, the recorded event details keep their exact format. Handles
+// that never stage writes are charged their level-1 segment but hold no
+// host bytes for it.
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/trace"
 )
@@ -147,6 +151,66 @@ func TestTraceDetailsUnchanged(t *testing.T) {
 			if fmt.Sprint(got[kind]) != fmt.Sprint(details) {
 				t.Errorf("rank %d %s details = %q, want %q", rank, kind, got[kind], details)
 			}
+		}
+	}
+}
+
+// level1PeakMemory is the simulated per-rank peak of level1Program, pinned
+// from the build in which every handle allocated its level-1 buffer: the
+// charge is the same whether or not host bytes back it.
+const level1PeakMemory = 5 * 64 << 10
+
+// level1Program opens one handle in mode on two ranks with ByteScale 1 KiB
+// per byte — a 4-segment window plus one level-1 segment of 64 bytes, so
+// 5*64 KiB simulated per rank — and reports whether the handle holds
+// level-1 host bytes.
+func level1Program(t *testing.T, mode Mode, cfg Config) (mpi.Report, bool) {
+	t.Helper()
+	m := cluster.Lonestar()
+	m.ByteScale = 1 << 10
+	var held atomic.Bool
+	rep, err := mpi.Run(mpi.Config{Procs: 2, Machine: m, EnforceMemory: true}, func(c *mpi.Comm) error {
+		f, err := Open(c, "l1mem", mode, cfg)
+		if err != nil {
+			return err
+		}
+		if f.l1Buf != nil {
+			held.Store(true)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if used := c.MemUsed(); used != 0 {
+			return fmt.Errorf("rank %d: %d simulated bytes still charged after Close", c.Rank(), used)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, held.Load()
+}
+
+func TestLevel1ChargedWhereHostBytesAreNot(t *testing.T) {
+	cfg := Config{SegmentSize: 64, NumSegments: 4}
+	ablation := cfg
+	ablation.DisableLevel1 = true
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		cfg  Config
+		held bool
+	}{
+		{"read", ReadMode, cfg, false},
+		{"write", WriteMode, cfg, true},
+		{"write/DisableLevel1", WriteMode, ablation, false},
+	} {
+		rep, held := level1Program(t, tc.mode, tc.cfg)
+		if rep.PeakMemory != level1PeakMemory {
+			t.Errorf("%s: PeakMemory = %d, want %d", tc.name, rep.PeakMemory, level1PeakMemory)
+		}
+		if held != tc.held {
+			t.Errorf("%s: level-1 host buffer held = %v, want %v", tc.name, held, tc.held)
 		}
 	}
 }

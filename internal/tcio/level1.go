@@ -78,7 +78,7 @@ func (f *File) WriteAt(off int64, data []byte) error {
 func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 	if f.cfg.DisableLevel1 {
 		// Ablation: ship the piece immediately with its own one-sided op.
-		return f.ship(seg, []extent.Extent{{Off: segOff, Len: int64(len(piece))}}, piece)
+		return f.ship(seg, []extent.Extent{{Off: segOff, Len: int64(len(piece))}}, [][]byte{piece})
 	}
 	if f.l1Seg != seg {
 		if err := f.flushLevel1(); err != nil {
@@ -92,7 +92,9 @@ func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 }
 
 // flushLevel1 ships the level-1 buffer's cached blocks to the owning
-// level-2 segment as one indexed-datatype one-sided put.
+// level-2 segment as one indexed-datatype one-sided put, gathered from the
+// buffer where the blocks lie: each run's source is its own window of
+// l1Buf, so nothing is packed first.
 func (f *File) flushLevel1() error {
 	if f.l1Seg < 0 || len(f.l1Blocks) == 0 {
 		f.l1Seg = -1
@@ -100,15 +102,12 @@ func (f *File) flushLevel1() error {
 		return nil
 	}
 	blocks := extent.Coalesce(f.l1Blocks)
-	if f.payloadScratch == nil {
-		f.payloadScratch = make([]byte, 0, f.segSize)
-	}
-	payload := f.payloadScratch[:0]
+	srcs := f.l1Srcs[:0]
 	for _, b := range blocks {
-		payload = append(payload, f.l1Buf[b.Off:b.Off+b.Len]...)
+		srcs = append(srcs, f.l1Buf[b.Off:b.Off+b.Len])
 	}
-	f.payloadScratch = payload[:0]
-	err := f.ship(f.l1Seg, blocks, payload)
+	f.l1Srcs = srcs[:0]
+	err := f.ship(f.l1Seg, blocks, srcs)
 	f.l1Seg = -1
 	f.l1Blocks = f.l1Blocks[:0]
 	return err

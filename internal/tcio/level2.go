@@ -233,19 +233,19 @@ func (f *File) segmentOwner(seg int64) (rank int, slot int64) {
 }
 
 // ship performs the one-sided transfer of segment-relative runs into the
-// owner's window and records them as dirty.
+// owner's window and records them as dirty. srcs[i] holds run i's bytes.
 //
 // A shared lock suffices: different ranks put into disjoint byte ranges of
 // the segment (their own blocks), so concurrent epochs are safe. The epoch
 // is left open (recorded in openOwners) so that successive flushes to the
 // same owner pipeline; Flush and Close end all open epochs with one wave of
 // unlocks whose completion waits overlap.
-func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
+func (f *File) ship(seg int64, runs []extent.Extent, srcs [][]byte) error {
 	if f.aggEnabled {
 		// Aggregated path: hand the runs to this segment's node leader over
 		// the intra-node fabric; the leader puts the node's merged runs at
 		// the next collective (nodeagg.go).
-		return f.depositForAggregation(seg, runs, payload)
+		return f.depositForAggregation(seg, runs, srcs)
 	}
 	owner, slot := f.segmentOwner(seg)
 	if slot >= int64(f.numSeg) {
@@ -262,7 +262,7 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 	}
 	f.reserveInflight()
 	t1 := f.c.Now()
-	h, err := f.putSegmentsRetry(owner, seg, winRuns, payload)
+	h, err := f.putSegmentsRetry(owner, seg, winRuns, srcs)
 	if err != nil {
 		return err
 	}
@@ -273,7 +273,7 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 	f.meta.addDirty(seg, runs, h.Arrival())
 	f.stats.Level1Flush++
 	if f.tracing() {
-		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+		f.emit(trace.KindFlush, t0, extent.Total(runs), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
 	}
 	return f.maybeWriteBehind()
 }
@@ -330,7 +330,7 @@ func (f *File) touchEpoch(owner int) {
 // driver. The fault roll is keyed by this rank's shipment number so chaos
 // runs replay exactly; each backoff burns virtual time on the origin, as a
 // real sender re-posting a dropped work request would.
-func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payload []byte) (mpi.PutHandle, error) {
+func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, srcs [][]byte) (mpi.PutHandle, error) {
 	inj := f.c.Faults()
 	ship := f.shipCount
 	f.shipCount++
@@ -344,7 +344,7 @@ func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payl
 					f.c.Rank(), seg, owner)
 			}
 			var perr error
-			handle, perr = f.win.PutSegmentsAsync(owner, runs, payload)
+			handle, perr = f.win.PutSegmentsFrom(owner, runs, srcs)
 			return f.c.Now(), perr
 		})
 	f.c.AdvanceTo(end)

@@ -104,7 +104,7 @@ func (a *aggStaging) takeLed(node int, keep func(seg int64) bool) ([]int64, [][]
 // pays the handoff (intra-node bandwidth) and keeps its per-rank shipment
 // accounting — Level1Flush and the flush trace event count deposits exactly
 // as they count baseline puts, so per-rank counters are aggregation-blind.
-func (f *File) depositForAggregation(seg int64, runs []extent.Extent, payload []byte) error {
+func (f *File) depositForAggregation(seg int64, runs []extent.Extent, srcs [][]byte) error {
 	owner, slot := f.segmentOwner(seg)
 	if slot >= int64(f.numSeg) {
 		return fmt.Errorf("%w: segment %d needs slot %d of %d", ErrCapacity, seg, slot, f.numSeg)
@@ -112,20 +112,25 @@ func (f *File) depositForAggregation(seg int64, runs []extent.Extent, payload []
 	node := f.c.Node()
 	leader := f.c.Machine().NodeLeader(node, f.c.Size(), seg)
 	t0 := f.c.Now()
-	arrival, err := f.c.IntraNodeCopy(leader, int64(len(payload)))
+	n := extent.Total(runs)
+	arrival, err := f.c.IntraNodeCopy(leader, n)
 	if err != nil {
 		return err
 	}
 	// Private copies: the caller reuses its level-1 buffer and run list the
-	// moment ship returns, exactly as it would after a baseline put.
+	// moment ship returns, exactly as it would after a baseline put. The
+	// runs' sources are packed here, in run order, as the leader's grouped
+	// put expects.
 	rcopy := append([]extent.Extent(nil), runs...)
-	pcopy := make([]byte, len(payload))
-	copy(pcopy, payload)
+	pcopy := make([]byte, 0, n)
+	for _, src := range srcs {
+		pcopy = append(pcopy, src...)
+	}
 	f.agg.deposit(aggKey{node: node, seg: seg},
 		aggDeposit{origin: f.c.Rank(), runs: rcopy, payload: pcopy, arrival: arrival})
 	f.stats.Level1Flush++
 	if f.tracing() {
-		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+		f.emit(trace.KindFlush, t0, n, fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
 	}
 	return nil
 }

@@ -54,7 +54,9 @@ type session struct {
 	// the per-OST worker fan-out.
 	store *storage.Client
 
-	// Level-1 buffer (write mode).
+	// Level-1 buffer. Every handle is charged one segment for it, but
+	// only a write handle that stages through it holds the host bytes;
+	// l1Buf is nil otherwise.
 	l1Seg    int64 // aligned global segment; -1 when empty
 	l1Buf    []byte
 	l1Blocks []extent.Extent // segment-relative cached runs
@@ -67,11 +69,13 @@ type session struct {
 	// shipCount numbers this rank's one-sided shipments; it keys the
 	// deterministic fault rolls of the put path.
 	shipCount int64
-	// Per-handle scratch for the flush/ship hot path. Safe to reuse across
-	// calls because every consumer copies synchronously: PutSegmentsAsync
-	// copies payload into the window before returning, depositForAggregation
-	// makes private copies, and addDirty appends run values.
-	payloadScratch []byte
+	// Per-handle scratch for the flush/ship hot path: l1Srcs holds one
+	// flush's per-run windows of l1Buf, winRunsScratch the runs translated
+	// to window offsets. Safe to reuse across calls because every consumer
+	// copies synchronously: PutSegmentsFrom gathers the sources into the
+	// window before returning, depositForAggregation makes private copies,
+	// and addDirty appends run values.
+	l1Srcs         [][]byte
 	winRunsScratch []extent.Extent
 
 	// Write-behind lane (WriteBehindThreshold > 0): laneFree is when the
@@ -167,14 +171,21 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	}
 	// Level-1 buffer: exactly one segment (paper §IV.A: "we set them to be
 	// equal, and each level-1 buffer is aligned with one level-2 segment").
-	l1, err := c.Malloc(cfg.SegmentSize)
-	if err != nil {
+	// The simulated charge is taken for every handle, as the paper's
+	// library allocates the buffer at open; the host bytes only where
+	// writes stage through it — read handles and the DisableLevel1
+	// ablation never touch it.
+	if err := c.Reserve(c.Machine().Scale(cfg.SegmentSize)); err != nil {
 		if winReserved > 0 {
 			c.Release(winReserved)
 		} else {
 			c.Free(winBuf)
 		}
 		return session{}, fmt.Errorf("tcio: level-1 buffer: %w", err)
+	}
+	var l1 []byte
+	if mode == WriteMode && !cfg.DisableLevel1 {
+		l1 = make([]byte, cfg.SegmentSize)
 	}
 	win, err := c.WinCreate(winBuf)
 	if err != nil {
@@ -277,7 +288,7 @@ func (s *session) release() {
 	} else {
 		s.c.Free(s.win.Local())
 	}
-	s.c.Free(s.l1Buf)
+	s.c.Release(s.c.Machine().Scale(s.segSize))
 }
 
 // Name reports the file name the session is bound to.
