@@ -81,8 +81,10 @@ type File struct {
 
 	// colReads queues read pieces per server index between collective
 	// points when collectiveRead is armed; Fetch ships them as intents
-	// and scatters the replies.
+	// and scatters the replies. dsts is fetchCollective's reused list of
+	// one reply's destinations.
 	colReads [][]colRead
+	dsts     [][]byte
 }
 
 // colRead is one queued collective read piece (within one domain block).
@@ -327,18 +329,16 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 		dst = dst[n:]
 	}
 	for _, p := range reqs {
-		rep, err := t.c.RecvReply(t.servers[p.si], tagReply)
+		rep, err := t.c.RecvReplyInto(t.servers[p.si], tagReply, [][]byte{p.dst})
 		if err != nil {
-			return err
+			return fmt.Errorf("delegate: read %q: %w", f.name, err)
 		}
 		if !rep.OK {
 			return replyErr("read", f.name, rep)
 		}
-		if rep.Seq != p.seq || len(rep.Data) != len(p.dst) {
-			return fmt.Errorf("delegate: read %q: reply seq %d len %d, want seq %d len %d",
-				f.name, rep.Seq, len(rep.Data), p.seq, len(p.dst))
+		if rep.Seq != p.seq {
+			return fmt.Errorf("delegate: read %q: reply seq %d, want seq %d", f.name, rep.Seq, p.seq)
 		}
-		copy(p.dst, rep.Data)
 	}
 	return nil
 }
@@ -380,24 +380,21 @@ func (f *File) fetchCollective() error {
 		}
 	}
 	for si := range t.servers {
-		rep, err := t.c.RecvReply(t.servers[si], tagReply)
+		dsts := f.dsts[:0]
+		for _, p := range f.colReads[si] {
+			dsts = append(dsts, p.dst)
+		}
+		rep, err := t.c.RecvReplyInto(t.servers[si], tagReply, dsts)
+		clear(dsts) // hold no reader buffer past the receive
+		f.dsts = dsts[:0]
 		if err != nil {
-			return err
+			return fmt.Errorf("delegate: read %q: %w", f.name, err)
 		}
 		if !rep.OK {
 			return replyErr("read", f.name, rep)
 		}
-		var want int
-		for _, p := range f.colReads[si] {
-			want += len(p.dst)
-		}
-		if rep.Seq != seqs[si] || len(rep.Data) != want {
-			return fmt.Errorf("delegate: read %q: intent reply seq %d len %d, want seq %d len %d",
-				f.name, rep.Seq, len(rep.Data), seqs[si], want)
-		}
-		pos := 0
-		for _, p := range f.colReads[si] {
-			pos += copy(p.dst, rep.Data[pos:pos+len(p.dst)])
+		if rep.Seq != seqs[si] {
+			return fmt.Errorf("delegate: read %q: intent reply seq %d, want seq %d", f.name, rep.Seq, seqs[si])
 		}
 		f.colReads[si] = f.colReads[si][:0]
 	}
@@ -435,9 +432,9 @@ func (f *File) Flush() error {
 		}
 	}
 	for si := range t.servers {
-		rep, err := t.c.RecvReply(t.servers[si], tagReply)
+		rep, err := t.c.RecvReplyInto(t.servers[si], tagReply, nil)
 		if err != nil {
-			return err
+			return fmt.Errorf("delegate: flush %q: %w", f.name, err)
 		}
 		if !rep.OK {
 			return replyErr("flush", f.name, rep)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/tcio/tcio/internal/cluster"
+	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
@@ -514,6 +516,63 @@ func TestDelegateReadExhaustedTyped(t *testing.T) {
 			if !errors.Is(o.readErr, faults.ErrExhaustedRetries) {
 				t.Fatalf("read error %v is not typed ErrExhaustedRetries", o.readErr)
 			}
+		})
+	}
+}
+
+// TestDelegateRejectsMalformedIntent ships raw read intents whose run is
+// empty, negative, or leaves its domain block. The server must fail the
+// request with an error naming the intent — not panic slicing the block
+// buffer, and not reply with bytes from past the block's end.
+func TestDelegateRejectsMalformedIntent(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		domain int64
+		run    extent.Extent
+	}{
+		{"crosses-block", 256, extent.Extent{Off: 240, Len: 32}},
+		{"negative-len", 256, extent.Extent{Off: 0, Len: -5}},
+		{"past-block-end", 200, extent.Extent{Off: 190, Len: 20}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := cluster.Lonestar()
+			m.CoresPerNode = 2
+			cfg := Config{
+				ServerRanks: 1, DomainSize: tc.domain,
+				TCIO: tcio.Config{SegmentSize: 64, NumSegments: 8, CollectiveRead: true},
+			}
+			errs := make([]error, 2)
+			_, runErr := mpi.Run(mpi.Config{Procs: 2, Machine: m, FS: pfs.New(pfs.DefaultConfig())}, func(c *mpi.Comm) error {
+				errs[c.Rank()] = Run(c, cfg, func(tr *Tier) error {
+					f, err := tr.Open("intent", tcio.ReadMode)
+					if err != nil {
+						return err
+					}
+					if err := tr.request(0, &mpi.RPCRequest{
+						Op: mpi.OpReadIntent, Handle: f.Handle(),
+						Data: encodeIntent([]extent.Extent{tc.run}),
+					}); err != nil {
+						return err
+					}
+					dst := make([]byte, max(tc.run.Len, 0))
+					rep, err := tr.c.RecvReplyInto(tr.servers[0], tagReply, [][]byte{dst})
+					if err != nil {
+						return err
+					}
+					return fmt.Errorf("server answered a malformed intent: ok=%v %q", rep.OK, rep.Err)
+				})
+				return errs[c.Rank()]
+			})
+			if runErr == nil {
+				t.Fatal("malformed intent served without error")
+			}
+			// A rank that panicked records nothing here.
+			for _, err := range errs {
+				if err != nil && strings.Contains(err.Error(), "read intent for handle") {
+					return
+				}
+			}
+			t.Fatalf("no rank reported the malformed intent: %v", errs)
 		})
 	}
 }

@@ -73,6 +73,15 @@ func (s *server) readIntent(req *mpi.RPCRequest) error {
 	if err != nil {
 		return err
 	}
+	// Every run must lie inside one domain block: the epoch close serves
+	// it as a window of that block's buffer.
+	ds := s.cfg.DomainSize
+	for _, r := range runs {
+		if r.Off < 0 || r.Len <= 0 || r.Len > ds-r.Off%ds {
+			return fmt.Errorf("delegate: read intent for handle %d from rank %d: run [%d,+%d) is not inside one %d-byte domain block",
+				req.Handle, req.Client, r.Off, r.Len, ds)
+		}
+	}
 	h.intents[req.Client] = runs
 	h.intentSeqs[req.Client] = req.Seq
 	if len(h.intents) < s.clients {
@@ -155,27 +164,21 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 	sort.Ints(clients)
 	for _, cl := range clients {
 		rep := &mpi.RPCReply{Seq: h.intentSeqs[cl]}
-		var data []byte
+		srcs := s.replySrcs[:0]
 		if fillErr != nil {
 			rep.Code, rep.Err = errCode(fillErr), fillErr.Error()
 		} else {
-			var total int64
-			for _, r := range h.intents[cl] {
-				total += r.Len
-			}
-			data = mpi.GetBuf(int(total))
-			var pos int64
+			// The reply gathers each run straight from its block buffer.
 			for _, r := range h.intents[cl] {
 				blk := r.Off / ds
 				rel := r.Off - blk*ds
-				pos += int64(copy(data[pos:], blkBuf[blk][rel:rel+r.Len]))
+				srcs = append(srcs, blkBuf[blk][rel:rel+r.Len])
 			}
-			rep.OK, rep.Data = true, data
+			rep.OK = true
 		}
-		err := s.c.SendReply(cl, tagReply, rep)
-		if data != nil {
-			mpi.RecycleBuf(data)
-		}
+		err := s.c.SendReplyFrom(cl, tagReply, rep, srcs)
+		clear(srcs) // hold no block buffer past the send
+		s.replySrcs = srcs[:0]
 		if err != nil {
 			return err
 		}

@@ -130,6 +130,8 @@ type server struct {
 	// sched queues reads for deficit-round-robin draining (nil when
 	// ReadQuantum == 0, which serves reads inline in arrival order).
 	sched *drrSched
+	// replySrcs is closeReadEpoch's reused list of one reply's sources.
+	replySrcs [][]byte
 }
 
 // serve runs the delegation request loop on a server rank until every

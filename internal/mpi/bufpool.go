@@ -14,31 +14,42 @@ import (
 // accountant and plain allocation is not a fault site, so request and
 // fault identity are byte-for-byte unchanged (see BenchmarkPingPong*).
 //
-// Buffers re-enter the pool only through Comm.Recycle: the runtime cannot
+// Buffers re-enter the pool only through Comm.Recycle (or a receive that
+// consumes the payload itself, like RecvReplyInto): the runtime cannot
 // know when a receiver is done with a delivered payload, so reclamation is
 // the application's opt-in.
+//
+// Size classes are 2^k + poolSlack bytes rather than bare powers of two.
+// Bulk payloads are usually powers of two themselves (a domain block, a
+// segment), and every message wraps its payload in a small header — 33 B
+// for an RPC request, 16 B for a reply — so bare power-of-two classes
+// would land each such message in the next class up, half empty. The
+// slack lets a power-of-two payload and any header share their own class.
 
 const (
-	// minPoolShift is the smallest pooled size class (64 B); tinier
-	// payloads round up to it.
+	// minPoolShift is the smallest pooled size class (2^6 + poolSlack =
+	// 128 B); tinier payloads round up to it.
 	minPoolShift = 6
-	// maxPoolShift is the largest pooled size class (64 MiB); larger
-	// payloads fall back to the heap.
+	// maxPoolShift is the largest pooled size class (64 MiB + poolSlack);
+	// larger payloads fall back to the heap.
 	maxPoolShift = 26
+	// poolSlack is the per-class headroom above the power of two, sized to
+	// cover every message header the runtime stages.
+	poolSlack = 64
 )
 
 var msgPools [maxPoolShift - minPoolShift + 1]sync.Pool
 
-// getBuf returns a length-n buffer whose capacity is the power-of-two size
-// class covering n. Callers overwrite all n bytes, so recycled contents
-// never leak between messages.
+// getBuf returns a length-n buffer whose capacity is the smallest size
+// class 2^k + poolSlack covering n. Callers overwrite all n bytes, so
+// recycled contents never leak between messages.
 func getBuf(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	shift := bits.Len(uint(n - 1))
-	if shift < minPoolShift {
-		shift = minPoolShift
+	shift := minPoolShift
+	if n > 1<<minPoolShift+poolSlack {
+		shift = bits.Len(uint(n - poolSlack - 1))
 	}
 	if shift > maxPoolShift {
 		return make([]byte, n)
@@ -46,19 +57,19 @@ func getBuf(n int) []byte {
 	if v := msgPools[shift-minPoolShift].Get(); v != nil {
 		return (*v.(*[]byte))[:n]
 	}
-	return make([]byte, n, 1<<shift)
+	return make([]byte, n, 1<<shift+poolSlack)
 }
 
 // recycleBuf returns a buffer to its size-class pool. Only buffers whose
 // capacity is exactly a pool class are accepted — that is every buffer
 // getBuf handed out, and excludes arbitrary caller slices.
 func recycleBuf(b []byte) {
-	c := cap(b)
-	if c < 1<<minPoolShift || c > 1<<maxPoolShift || c&(c-1) != 0 {
+	p := cap(b) - poolSlack
+	if p < 1<<minPoolShift || p > 1<<maxPoolShift || p&(p-1) != 0 {
 		return
 	}
-	b = b[:c]
-	msgPools[bits.TrailingZeros(uint(c))-minPoolShift].Put(&b)
+	b = b[:cap(b)]
+	msgPools[bits.TrailingZeros(uint(p))-minPoolShift].Put(&b)
 }
 
 // GetBuf hands out a length-n buffer from the runtime's size-classed

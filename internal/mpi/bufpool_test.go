@@ -13,20 +13,30 @@ func TestGetBufSizeClasses(t *testing.T) {
 	if got := getBuf(0); got != nil {
 		t.Fatalf("getBuf(0) = %v, want nil", got)
 	}
-	for _, n := range []int{1, 63, 64, 65, 4096, 4097, 1 << 20, (1 << 26) - 1, 1 << 26} {
+	for _, n := range []int{1, 63, 64, 65, 128, 129, 4096, 4097, 4096 + poolSlack, 4096 + poolSlack + 1,
+		1 << 20, 1<<20 + rpcRepHeaderWire, 1<<20 + rpcReqHeaderWire, (1 << 26) - 1, 1 << 26, 1<<26 + poolSlack} {
 		b := getBuf(n)
 		if len(b) != n {
 			t.Fatalf("getBuf(%d): len %d", n, len(b))
 		}
-		if c := cap(b); c < n || c&(c-1) != 0 || c < 1<<minPoolShift {
+		p := cap(b) - poolSlack
+		if c := cap(b); c < n || p&(p-1) != 0 || p < 1<<minPoolShift {
 			t.Fatalf("getBuf(%d): cap %d not a covering pool class", n, c)
+		}
+		// The class is the smallest covering one.
+		if p > 1<<minPoolShift && p/2+poolSlack >= n {
+			t.Fatalf("getBuf(%d): cap %d, a smaller class covers", n, cap(b))
 		}
 		recycleBuf(b)
 	}
+	// A power-of-two payload plus a message header shares its own class.
+	if c := cap(getBuf(1<<19 + rpcRepHeaderWire)); c != 1<<19+poolSlack {
+		t.Fatalf("512 KiB reply: cap %d, want %d", c, 1<<19+poolSlack)
+	}
 	// Above the largest class the heap serves directly; recycling such a
 	// buffer (or any odd-capacity caller slice) is a silent no-op.
-	big := getBuf(1<<26 + 1)
-	if len(big) != 1<<26+1 {
+	big := getBuf(1<<26 + poolSlack + 1)
+	if len(big) != 1<<26+poolSlack+1 {
 		t.Fatalf("oversize len %d", len(big))
 	}
 	recycleBuf(big)
@@ -42,7 +52,7 @@ func TestRecycleReturnsToPool(t *testing.T) {
 	// sync.Pool gives no reuse guarantee, so only check that a subsequent
 	// get of the same class is well-formed even if it is the recycled one.
 	c := getBuf(700)
-	if len(c) != 700 || cap(c) != 1024 {
+	if len(c) != 700 || cap(c) != 1024+poolSlack {
 		t.Fatalf("after recycle: len %d cap %d", len(c), cap(c))
 	}
 }

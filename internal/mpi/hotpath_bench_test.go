@@ -2,7 +2,8 @@ package mpi
 
 // Host hot-path micro-benchmarks (size-swept per SNIPPETS.md Snippet 2):
 // the collective barrier under growing rank counts, mailbox matching
-// under growing queue depths, and indexed puts under growing run counts.
+// under growing queue depths, and indexed puts and RPC replies under
+// growing run counts.
 // These measure *host* wall-clock cost — the virtual-time results are
 // pinned elsewhere and must not change.
 
@@ -200,6 +201,72 @@ func BenchmarkPutSegments(b *testing.B) {
 						}
 					}
 					return win.Unlock(1)
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSendReply sends one RPC reply of parts 1 KiB runs per op, the
+// shape of a collective read reply: each run sits in its own block-sized
+// buffer. "packed" first copies the runs into a contiguous payload, as a
+// delegation server had to before SendReplyFrom; "gathered" passes each
+// run where it lies. The receiver scatters every reply into its buffer
+// and acknowledges it, so the ranks stay in lockstep and every wire
+// buffer returns to the pool.
+func BenchmarkSendReply(b *testing.B) {
+	const run = 1 << 10
+	for _, parts := range []int{1, 16, 256} {
+		blocks := make([][]byte, parts)
+		for i := range blocks {
+			blocks[i] = make([]byte, 4*run)
+		}
+		for _, mode := range []string{"packed", "gathered"} {
+			b.Run(fmt.Sprintf("parts=%d/%s", parts, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(run * parts))
+				payload := make([]byte, 0, run*parts)
+				srcs := make([][]byte, 0, parts)
+				dst := make([][]byte, 1)
+				dst[0] = make([]byte, run*parts)
+				_, err := Run(Config{Procs: 2}, func(c *Comm) error {
+					for i := 0; i < b.N; i++ {
+						if c.Rank() == 1 {
+							if _, err := c.RecvReplyInto(0, 1, dst); err != nil {
+								return err
+							}
+							if err := c.Send(0, 2, nil); err != nil {
+								return err
+							}
+							continue
+						}
+						rep := RPCReply{OK: true, Seq: int64(i)}
+						var err error
+						if mode == "packed" {
+							payload = payload[:0]
+							for _, blk := range blocks {
+								payload = append(payload, blk[run:2*run]...)
+							}
+							rep.Data = payload
+							err = c.SendReply(1, 1, &rep)
+						} else {
+							srcs = srcs[:0]
+							for _, blk := range blocks {
+								srcs = append(srcs, blk[run:2*run])
+							}
+							err = c.SendReplyFrom(1, 1, &rep, srcs)
+						}
+						if err != nil {
+							return err
+						}
+						if _, err := c.Recv(1, 2); err != nil {
+							return err
+						}
+					}
+					return nil
 				})
 				if err != nil {
 					b.Fatal(err)

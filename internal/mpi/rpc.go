@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"github.com/tcio/tcio/internal/mutate"
 	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
 )
@@ -75,6 +76,8 @@ type RPCReply struct {
 	Code RPCErrCode
 	Err  string
 	Seq  int64
+	// Data is the payload SendReply ships. A received reply never holds
+	// it: RecvReplyInto scatters the payload into the caller's buffers.
 	Data []byte
 }
 
@@ -136,13 +139,18 @@ func decodeRequest(buf []byte) (*RPCRequest, error) {
 	return r, nil
 }
 
-// encodeReply stages the reply into a pooled buffer; see encodeRequest.
-func encodeReply(r *RPCReply) []byte {
+// encodeReply stages the reply into a pooled buffer, gathering its payload
+// from parts in order (r.Data is not read); see encodeRequest.
+func encodeReply(r *RPCReply, parts [][]byte) []byte {
 	errStr := r.Err
 	if len(errStr) > rpcMaxErr {
 		errStr = errStr[:rpcMaxErr]
 	}
-	buf := getBuf(rpcRepHeaderWire + len(errStr) + len(r.Data))
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	buf := getBuf(rpcRepHeaderWire + len(errStr) + n)
 	buf[0] = 0 // recycled buffers hold stale bytes; every byte must be set
 	if r.OK {
 		buf[0] = 1
@@ -150,9 +158,17 @@ func encodeReply(r *RPCReply) []byte {
 	buf[1] = byte(r.Code)
 	binary.LittleEndian.PutUint64(buf[2:], uint64(r.Seq))
 	binary.LittleEndian.PutUint16(buf[10:], uint16(len(errStr)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(r.Data)))
-	copy(buf[rpcRepHeaderWire:], errStr)
-	copy(buf[rpcRepHeaderWire+len(errStr):], r.Data)
+	binary.LittleEndian.PutUint32(buf[12:], uint32(n))
+	at := rpcRepHeaderWire + copy(buf[rpcRepHeaderWire:], errStr)
+	for i, p := range parts {
+		src := p
+		if mutate.Enabled(mutate.MPIReplyGatherSkew) && i > 0 {
+			// Deliberate bug: gather each part from the previous part.
+			src = parts[i-1]
+		}
+		copy(buf[at:at+len(p)], src)
+		at += len(p)
+	}
 	return buf
 }
 
@@ -226,17 +242,57 @@ func (c *Comm) TryRecvRequest(src, tag int) (*RPCRequest, bool, error) {
 
 // SendReply ships rep to rank dst on tag, billed like SendRequest.
 func (c *Comm) SendReply(dst, tag int, rep *RPCReply) error {
-	sim := int64(rpcRepHeaderWire) + c.w.machine.Scale(int64(len(rep.Data)))
-	return c.sendStaged(dst, tag, encodeReply(rep), netsim.TwoSided, sim)
+	return c.SendReplyFrom(dst, tag, rep, [][]byte{rep.Data})
 }
 
-// RecvReply blocks for a reply from src on tag.
-func (c *Comm) RecvReply(src, tag int) (*RPCReply, error) {
+// SendReplyFrom is SendReply gathering the payload from srcs: the reply
+// carries rep's header fields and the concatenation of srcs (rep.Data is
+// not read), copied straight into the wire staging, so a server replying
+// with runs scattered over several buffers never packs them first. The
+// charge is SendReply's for the packed payload. srcs are only read during
+// the call.
+func (c *Comm) SendReplyFrom(dst, tag int, rep *RPCReply, srcs [][]byte) error {
+	var n int64
+	for _, p := range srcs {
+		n += int64(len(p))
+	}
+	sim := int64(rpcRepHeaderWire) + c.w.machine.Scale(n)
+	return c.sendStaged(dst, tag, encodeReply(rep, srcs), netsim.TwoSided, sim)
+}
+
+// RecvReplyInto blocks for a reply from src on tag and scatters its
+// payload into dsts in order, then returns the wire buffer to the pool —
+// the receiving mirror of SendReplyFrom. An OK reply's payload must be
+// exactly the dsts' total length, or RecvReplyInto returns an error; a
+// failed reply leaves dsts untouched. The returned reply carries OK, Code,
+// Err, and Seq, never Data.
+func (c *Comm) RecvReplyInto(src, tag int, dsts [][]byte) (*RPCReply, error) {
 	buf, err := c.Recv(src, tag)
 	if err != nil {
 		return nil, err
 	}
-	return decodeReply(buf)
+	defer recycleBuf(buf)
+	rep, err := decodeReply(buf)
+	if err != nil {
+		return nil, err
+	}
+	data := rep.Data
+	rep.Data = nil
+	if !rep.OK {
+		return rep, nil
+	}
+	want := 0
+	for _, d := range dsts {
+		want += len(d)
+	}
+	if len(data) != want {
+		return nil, fmt.Errorf("mpi: rpc reply seq %d carries %d bytes, receiver expects %d",
+			rep.Seq, len(data), want)
+	}
+	for _, d := range dsts {
+		data = data[copy(d, data):]
+	}
+	return rep, nil
 }
 
 // Serve runs a request loop on tag until all clients shut down: each

@@ -39,7 +39,7 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 		{},
 	}
 	for i, in := range reps {
-		out, err := decodeReply(encodeReply(&in))
+		out, err := decodeReply(encodeReply(&in, [][]byte{in.Data}))
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
@@ -61,7 +61,7 @@ func TestRPCCodecRejectsCorrupt(t *testing.T) {
 	if _, err := decodeReply([]byte{0}); err == nil {
 		t.Fatal("truncated reply decoded")
 	}
-	rbuf := encodeReply(&RPCReply{Err: "x", Data: []byte("yz")})
+	rbuf := encodeReply(&RPCReply{Err: "x"}, [][]byte{[]byte("yz")})
 	if _, err := decodeReply(rbuf[:len(rbuf)-1]); err == nil {
 		t.Fatal("short reply decoded")
 	}
@@ -104,12 +104,13 @@ func TestRPCServe(t *testing.T) {
 		if err := c.SendRequest(2, tag, &RPCRequest{Op: OpRead, Seq: 2, Off: int64(me)}); err != nil {
 			return err
 		}
-		rep, err := c.RecvReply(2, tag+1)
+		got := make([]byte, 2)
+		rep, err := c.RecvReplyInto(2, tag+1, [][]byte{got})
 		if err != nil {
 			return err
 		}
-		if !rep.OK || rep.Seq != 2 || !bytes.Equal(rep.Data, []byte{byte(me), byte(me)}) {
-			return fmt.Errorf("rank %d: bad reply %+v", me, rep)
+		if !rep.OK || rep.Seq != 2 || !bytes.Equal(got, []byte{byte(me), byte(me)}) {
+			return fmt.Errorf("rank %d: bad reply %+v %v", me, rep, got)
 		}
 		return c.SendRequest(2, tag, &RPCRequest{Op: OpShutdown})
 	})
@@ -195,5 +196,98 @@ func TestRPCServeHandlerError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "flush from rank 0") {
 		t.Fatalf("err %q lacks op/source context", err)
+	}
+}
+
+// replyOnce sends one reply from rank 0 to rank 1 through send and returns
+// the wire bytes rank 1 received, its clock after the receive (the
+// arrival), and the sender's clock after the send.
+func replyOnce(t *testing.T, send func(c *Comm, rep *RPCReply, parts [][]byte) error) (wire []byte, arrival, sent simtime.Time) {
+	t.Helper()
+	parts := [][]byte{bytes.Repeat([]byte("ab"), 50), nil, []byte("c"), bytes.Repeat([]byte{7}, 3000)}
+	m := cluster.Lonestar()
+	m.CoresPerNode = 1 // bill the reply across the interconnect
+	_, err := Run(Config{Procs: 2, Machine: m}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			err := send(c, &RPCReply{OK: true, Seq: 11}, parts)
+			sent = c.Now()
+			return err
+		}
+		buf, err := c.Recv(0, 3)
+		wire, arrival = append([]byte(nil), buf...), c.Now()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire, arrival, sent
+}
+
+// TestSendReplyFromMatchesPacked pins the gathering send to the packed
+// one: same wire bytes, same arrival, same sender clock.
+func TestSendReplyFromMatchesPacked(t *testing.T) {
+	packedWire, packedArr, packedSent := replyOnce(t, func(c *Comm, rep *RPCReply, parts [][]byte) error {
+		rep.Data = bytes.Join(parts, nil)
+		return c.SendReply(1, 3, rep)
+	})
+	gatherWire, gatherArr, gatherSent := replyOnce(t, func(c *Comm, rep *RPCReply, parts [][]byte) error {
+		return c.SendReplyFrom(1, 3, rep, parts)
+	})
+	if !bytes.Equal(packedWire, gatherWire) {
+		t.Fatalf("wire bytes differ: packed %d B, gathered %d B", len(packedWire), len(gatherWire))
+	}
+	if packedArr != gatherArr || packedSent != gatherSent {
+		t.Fatalf("charge differs: packed arrival %v sender %v, gathered arrival %v sender %v",
+			packedArr, packedSent, gatherArr, gatherSent)
+	}
+	rep, err := decodeReply(gatherWire)
+	if err != nil || !rep.OK || rep.Seq != 11 || len(rep.Data) != 3101 || rep.Data[100] != 'c' {
+		t.Fatalf("gathered reply decodes to %+v, %v", rep, err)
+	}
+}
+
+// TestRecvReplyInto pins the scattering receive: an OK reply lands in
+// the destinations in order, a length mismatch is an error, and a failed
+// reply keeps its code and message and leaves the destinations alone.
+func TestRecvReplyInto(t *testing.T) {
+	_, err := Run(testCfg(2), func(c *Comm) error {
+		if c.Rank() == 0 {
+			for _, rep := range []*RPCReply{
+				{OK: true, Seq: 1, Data: []byte("abcdefg")},
+				{OK: true, Seq: 2, Data: []byte("abcde")},
+				{Code: RPCErrExhausted, Err: "retries exhausted", Seq: 3, Data: []byte("xy")},
+			} {
+				if err := c.SendReply(1, 4, rep); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		a, b, d := make([]byte, 3), []byte{}, make([]byte, 4)
+		rep, err := c.RecvReplyInto(0, 4, [][]byte{a, b, d})
+		if err != nil {
+			return err
+		}
+		if !rep.OK || rep.Seq != 1 || rep.Data != nil || string(a) != "abc" || string(d) != "defg" {
+			return fmt.Errorf("scatter: rep %+v, dsts %q %q", rep, a, d)
+		}
+		if rep, err := c.RecvReplyInto(0, 4, [][]byte{a, d}); err == nil {
+			return fmt.Errorf("5-byte reply into 7 bytes of destinations accepted: %+v", rep)
+		}
+		copy(a, "---")
+		rep, err = c.RecvReplyInto(0, 4, [][]byte{a})
+		if err != nil {
+			return err
+		}
+		if rep.OK || rep.Code != RPCErrExhausted || rep.Err != "retries exhausted" || rep.Seq != 3 || rep.Data != nil {
+			return fmt.Errorf("failed reply: %+v", rep)
+		}
+		if string(a) != "---" {
+			return fmt.Errorf("failed reply wrote %q into its destination", a)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -73,6 +73,10 @@ const (
 	// first from the previous block's source — level-1 flushes land the
 	// wrong bytes at every run but the first.
 	MPIPutFromSkew = "mpi.put-from-skew"
+	// MPIReplyGatherSkew makes the gathering reply send copy every part
+	// after the first from the previous part — a collective read reply
+	// delivers the wrong bytes for every run but the first.
+	MPIReplyGatherSkew = "mpi.reply-gather-skew"
 )
 
 // All lists every mutant the gate must catch.
@@ -94,5 +98,6 @@ func All() []string {
 		TCIOSpillDropDirty,
 		DelegateCacheStaleServe,
 		MPIPutFromSkew,
+		MPIReplyGatherSkew,
 	}
 }
