@@ -34,7 +34,7 @@ func Example() {
 // rank 0 deposits a value in rank 1's window without rank 1 participating.
 func Example_onesided() {
 	_, err := mpi.Run(mpi.Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}

@@ -46,16 +46,11 @@ func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (PutHandle, error) 
 	if err := w.epoch(target, "PutGrouped"); err != nil {
 		return PutHandle{}, err
 	}
-	buf := w.g.bufs[target]
 	var union []extent.Extent
 	for _, g := range groups {
-		var total int64
-		for _, s := range g.Segs {
-			if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-				return PutHandle{}, fmt.Errorf("mpi: PutGrouped origin %d segment [%d,%d) outside window of %d bytes",
-					g.Origin, s.Off, s.Off+s.Len, len(buf))
-			}
-			total += s.Len
+		total, err := w.checkSegs("PutGrouped", target, g.Segs)
+		if err != nil {
+			return PutHandle{}, fmt.Errorf("%w (origin %d)", err, g.Origin)
 		}
 		if total != int64(len(g.Data)) {
 			return PutHandle{}, fmt.Errorf("mpi: PutGrouped origin %d: %d bytes for segments totalling %d",
@@ -65,6 +60,7 @@ func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (PutHandle, error) 
 	}
 	mu := &w.g.datamu[target]
 	mu.Lock()
+	buf := w.g.backing(target)
 	for _, g := range groups {
 		pos := int64(0)
 		for _, s := range g.Segs {

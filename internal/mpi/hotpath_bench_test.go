@@ -175,7 +175,7 @@ func BenchmarkPutSegments(b *testing.B) {
 				payload := make([]byte, 0, blk*runs)
 				srcs := make([][]byte, 0, runs)
 				_, err := Run(Config{Procs: 2}, func(c *Comm) error {
-					win, err := c.WinCreate(make([]byte, len(origin)))
+					win, err := c.WinCreate(int64(len(origin)))
 					if err != nil || c.Rank() != 0 {
 						return err
 					}

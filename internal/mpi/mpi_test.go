@@ -395,7 +395,7 @@ func TestAlltoallv(t *testing.T) {
 
 func TestWindowPutGet(t *testing.T) {
 	_, err := Run(testCfg(3), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 64))
+		win, err := c.WinCreate(64)
 		if err != nil {
 			return err
 		}
@@ -439,7 +439,7 @@ func TestWindowPutGet(t *testing.T) {
 
 func TestWindowSegmentsRoundTrip(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 32))
+		win, err := c.WinCreate(32)
 		if err != nil {
 			return err
 		}
@@ -481,7 +481,7 @@ func TestWindowSegmentsRoundTrip(t *testing.T) {
 
 func TestWindowAccessWithoutLockFails(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
@@ -505,7 +505,7 @@ func TestWindowAccessWithoutLockFails(t *testing.T) {
 
 func TestWindowBoundsChecked(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
@@ -530,7 +530,7 @@ func TestWindowBoundsChecked(t *testing.T) {
 
 func TestWindowExclusiveLockSerializesVirtualTime(t *testing.T) {
 	rep, err := Run(testCfg(4), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 16))
+		win, err := c.WinCreate(16)
 		if err != nil {
 			return err
 		}
@@ -558,7 +558,7 @@ func TestWindowExclusiveLockSerializesVirtualTime(t *testing.T) {
 
 func TestDoubleLockSameTargetFails(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}

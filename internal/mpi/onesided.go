@@ -90,15 +90,31 @@ func (l *winLock) release(exclusive bool, at simtime.Time) {
 func (l *winLock) wake() { l.cond.Broadcast() }
 
 // winGlobal is the world-wide state of one window: every rank's exposed
-// memory and per-target locks. datamu serializes the physical (real-time)
-// copies into and out of each target's buffer: the virtual-time epoch
-// discipline orders transfers logically, but rewrite traffic means two
-// goroutines can touch the same bytes at the same wall-clock instant.
+// memory and per-target locks. sizes holds each target's declared window
+// size; bufs its host bytes, nil until the target is first touched (a put
+// into it, or its owner's Local), so a window nobody writes costs the
+// simulator no heap. datamu serializes the backing and the physical
+// (real-time) copies into and out of each target's buffer: the
+// virtual-time epoch discipline orders transfers logically, but rewrite
+// traffic means two goroutines can touch the same bytes at the same
+// wall-clock instant.
 type winGlobal struct {
 	id     int
+	sizes  []int64
 	bufs   [][]byte
 	datamu []sync.Mutex
 	locks  []*winLock
+}
+
+// backing returns target's host bytes, allocating them zeroed on first
+// touch. The caller holds datamu[target].
+func (g *winGlobal) backing(target int) []byte {
+	if g.bufs[target] == nil || mutate.Enabled(mutate.MPIWindowRebacked) {
+		// The mutant re-backs a target that already holds bytes, losing
+		// every earlier put and population.
+		g.bufs[target] = make([]byte, g.sizes[target])
+	}
+	return g.bufs[target]
 }
 
 // Win is one rank's handle on a window. held maps each locked target to
@@ -128,18 +144,25 @@ type heldLock struct {
 // datatype (building the type, driving the scatter/gather engine).
 const perSegmentCPU = 60 * simtime.Nanosecond
 
-// WinCreate is collective: every rank contributes local as its exposed
-// window memory and receives a handle. Window memory is read and written
-// by remote ranks only between Lock and Unlock.
-func (c *Comm) WinCreate(local []byte) (*Win, error) {
-	res, err := c.collect(local, func(vals []interface{}) interface{} {
+// WinCreate is collective: every rank exposes size bytes of window memory,
+// allocated by the runtime (MPI_Win_allocate), and receives a handle.
+// Window memory starts zeroed and is read and written by remote ranks only
+// between Lock and Unlock. The runtime backs a target with host bytes on
+// first touch; WinCreate charges no simulated memory — the caller charges
+// what its program would allocate (Reserve).
+func (c *Comm) WinCreate(size int64) (*Win, error) {
+	if size < 0 {
+		return nil, fmt.Errorf("mpi: WinCreate(%d)", size)
+	}
+	res, err := c.collect(size, func(vals []interface{}) interface{} {
 		g := &winGlobal{
+			sizes:  make([]int64, len(vals)),
 			bufs:   make([][]byte, len(vals)),
 			datamu: make([]sync.Mutex, len(vals)),
 			locks:  make([]*winLock, len(vals)),
 		}
 		for i, raw := range vals {
-			g.bufs[i], _ = raw.([]byte)
+			g.sizes[i] = raw.(int64)
 			g.locks[i] = newWinLock()
 		}
 		c.w.winMu.Lock()
@@ -154,11 +177,29 @@ func (c *Comm) WinCreate(local []byte) (*Win, error) {
 	return &Win{c: c, g: res.(*winGlobal), held: make(map[int]heldLock), class: netsim.OneSided}, nil
 }
 
-// Size reports the length of the window memory exposed by target.
-func (w *Win) Size(target int) int64 { return int64(len(w.g.bufs[target])) }
+// Size reports the declared length of the window memory exposed by
+// target, backed or not.
+func (w *Win) Size(target int) int64 { return w.g.sizes[target] }
 
-// Local returns this rank's own exposed window memory.
-func (w *Win) Local() []byte { return w.g.bufs[w.c.rank] }
+// Local returns this rank's own exposed window memory, backing it with
+// host bytes if nothing has touched it yet. Callers that only might use
+// the memory should call it once they know they will.
+func (w *Win) Local() []byte {
+	mu := &w.g.datamu[w.c.rank]
+	mu.Lock()
+	defer mu.Unlock()
+	return w.g.backing(w.c.rank)
+}
+
+// Backed reports whether target's window memory holds host bytes — the
+// simulator's heap, not the simulated program's; the charge is the
+// caller's either way.
+func (w *Win) Backed(target int) bool {
+	mu := &w.g.datamu[target]
+	mu.Lock()
+	defer mu.Unlock()
+	return w.g.bufs[target] != nil
+}
 
 // SnapshotLocal returns a private copy of [off, off+n) of this rank's own
 // window memory, serialized against the physical copies of concurrent
@@ -173,19 +214,24 @@ func (w *Win) SnapshotLocal(off, n int64) []byte {
 
 // SnapshotLocalInto is SnapshotLocal copying len(dst) bytes from off into a
 // caller-owned buffer, so steady-state background lanes can reuse one
-// staging arena instead of allocating per run.
+// staging arena instead of allocating per run. An unbacked window reads
+// as zeros.
 func (w *Win) SnapshotLocalInto(dst []byte, off int64) {
 	mu := &w.g.datamu[w.c.rank]
 	mu.Lock()
-	copy(dst, w.g.bufs[w.c.rank][off:off+int64(len(dst))])
+	if buf := w.g.bufs[w.c.rank]; buf != nil {
+		copy(dst, buf[off:off+int64(len(dst))])
+	} else {
+		clear(dst)
+	}
 	mu.Unlock()
 }
 
 // Lock opens an access epoch on target's window (MPI_Win_lock). exclusive
 // corresponds to MPI_LOCK_EXCLUSIVE; otherwise MPI_LOCK_SHARED.
 func (w *Win) Lock(target int, exclusive bool) error {
-	if target < 0 || target >= len(w.g.bufs) {
-		return fmt.Errorf("mpi: Win.Lock target %d of %d", target, len(w.g.bufs))
+	if target < 0 || target >= len(w.g.sizes) {
+		return fmt.Errorf("mpi: Win.Lock target %d of %d", target, len(w.g.sizes))
 	}
 	if _, dup := w.held[target]; dup {
 		return fmt.Errorf("mpi: Win.Lock target %d already locked by rank %d", target, w.c.rank)
@@ -234,6 +280,22 @@ func (w *Win) epoch(target int, op string) error {
 		return fmt.Errorf("mpi: %s to target %d without holding its window lock", op, target)
 	}
 	return nil
+}
+
+// checkSegs validates segs against target's declared window size — every
+// block non-negative and inside the window — and returns their byte
+// total. Every put and get body checks its segments here, before it
+// touches (or backs) the target's memory.
+func (w *Win) checkSegs(op string, target int, segs []datatype.Segment) (int64, error) {
+	size := w.g.sizes[target]
+	var total int64
+	for _, s := range segs {
+		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > size {
+			return 0, fmt.Errorf("mpi: %s segment [%d,%d) outside window of %d bytes", op, s.Off, s.Off+s.Len, size)
+		}
+		total += s.Len
+	}
+	return total, nil
 }
 
 // noteArrival records a transfer of the open epoch on target, so Unlock
@@ -329,19 +391,18 @@ func (w *Win) PutSegmentsFrom(target int, segs []datatype.Segment, srcs [][]byte
 	if len(srcs) != len(segs) {
 		return PutHandle{}, fmt.Errorf("mpi: Put %d sources for %d segments", len(srcs), len(segs))
 	}
-	buf := w.g.bufs[target]
-	var total int64
+	total, err := w.checkSegs("Put", target, segs)
+	if err != nil {
+		return PutHandle{}, err
+	}
 	for i, s := range segs {
-		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > int64(len(buf)) {
-			return PutHandle{}, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
-		}
 		if int64(len(srcs[i])) != s.Len {
 			return PutHandle{}, fmt.Errorf("mpi: Put segment %d is %d bytes, source %d", i, s.Len, len(srcs[i]))
 		}
-		total += s.Len
 	}
 	mu := &w.g.datamu[target]
 	mu.Lock()
+	buf := w.g.backing(target)
 	for i, s := range segs {
 		src := srcs[i]
 		if mutate.Enabled(mutate.MPIPutFromSkew) && i > 0 {
@@ -441,21 +502,25 @@ func (w *Win) GetSegmentsInto(target int, segs []datatype.Segment, dsts [][]byte
 	if len(dsts) != len(segs) {
 		return 0, fmt.Errorf("mpi: Get %d destinations for %d segments", len(dsts), len(segs))
 	}
-	buf := w.g.bufs[target]
-	var total int64
+	total, err := w.checkSegs("Get", target, segs)
+	if err != nil {
+		return 0, err
+	}
 	for i, s := range segs {
-		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > int64(len(buf)) {
-			return 0, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
-		}
 		if int64(len(dsts[i])) != s.Len {
 			return 0, fmt.Errorf("mpi: Get segment %d is %d bytes, destination %d", i, s.Len, len(dsts[i]))
 		}
-		total += s.Len
 	}
 	mu := &w.g.datamu[target]
 	mu.Lock()
+	// A get never backs its target: an untouched window reads as zeros.
+	buf := w.g.bufs[target]
 	for i, s := range segs {
-		copy(dsts[i], buf[s.Off:s.Off+s.Len])
+		if buf != nil {
+			copy(dsts[i], buf[s.Off:s.Off+s.Len])
+		} else {
+			clear(dsts[i])
+		}
 	}
 	mu.Unlock()
 	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)

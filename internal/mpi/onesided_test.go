@@ -13,7 +13,7 @@ import (
 
 func TestWinHeld(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
@@ -44,12 +44,15 @@ func TestWinHeld(t *testing.T) {
 
 func TestWinGetAsyncDataValidAfterComplete(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate([]byte{10, 20, 30, 40})
+		win, err := c.WinCreate(4)
 		if err != nil {
 			return err
 		}
-		if c.Rank() != 0 {
-			return nil
+		if c.Rank() == 1 {
+			copy(win.Local(), []byte{10, 20, 30, 40})
+		}
+		if err := c.Barrier(); err != nil || c.Rank() != 0 {
+			return err
 		}
 		if err := win.Lock(1, false); err != nil {
 			return err
@@ -80,7 +83,7 @@ func TestWinGetAsyncDataValidAfterComplete(t *testing.T) {
 
 func TestWinGetAsyncWithoutLockFails(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
@@ -139,7 +142,7 @@ func TestWinAsyncGetsOverlapInVirtualTime(t *testing.T) {
 func runOneSidedTimed(t *testing.T, fn func(*Comm, *Win) error) simtime.Time {
 	t.Helper()
 	rep, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 128))
+		win, err := c.WinCreate(128)
 		if err != nil {
 			return err
 		}
@@ -159,7 +162,7 @@ func runOneSidedTimed(t *testing.T, fn func(*Comm, *Win) error) simtime.Time {
 func TestWinSetClassChargesTwoSided(t *testing.T) {
 	count := func(class netsim.Class) netsim.Stats {
 		rep, err := Run(testCfg(2), func(c *Comm) error {
-			win, err := c.WinCreate(make([]byte, 8))
+			win, err := c.WinCreate(8)
 			if err != nil {
 				return err
 			}
@@ -194,7 +197,7 @@ func TestWinSetClassChargesTwoSided(t *testing.T) {
 
 func TestWinFenceSynchronizes(t *testing.T) {
 	rep, err := Run(testCfg(3), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
@@ -217,7 +220,7 @@ func TestSharedLocksDoNotChainVirtualTime(t *testing.T) {
 	// Many shared epochs, each holding for 1 ms of compute, must overlap:
 	// the makespan stays near one epoch, not the sum.
 	rep, err := Run(testCfg(8), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 64))
+		win, err := c.WinCreate(64)
 		if err != nil {
 			return err
 		}
@@ -242,7 +245,7 @@ func TestExclusiveAfterSharedObservesHandoff(t *testing.T) {
 	// An exclusive epoch must not begin (in virtual time) before earlier
 	// shared epochs handed off.
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
@@ -268,6 +271,110 @@ func TestExclusiveAfterSharedObservesHandoff(t *testing.T) {
 			return win.Unlock(0)
 		}
 		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWindowBackedOnFirstTouch: WinCreate exposes each rank's declared size
+// without host bytes behind it. A get from an untouched target reads zeros
+// and leaves it unbacked; the first put backs it, and a later put keeps
+// the earlier one's bytes.
+func TestWindowBackedOnFirstTouch(t *testing.T) {
+	_, err := Run(testCfg(3), func(c *Comm) error {
+		win, err := c.WinCreate(int64(16 + 8*c.Rank()))
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			for r := 0; r < 3; r++ {
+				if got, want := win.Size(r), int64(16+8*r); got != want {
+					return fmt.Errorf("Size(%d) = %d, want %d", r, got, want)
+				}
+				if win.Backed(r) {
+					return fmt.Errorf("target %d backed before any touch", r)
+				}
+			}
+			if err := win.Lock(1, true); err != nil {
+				return err
+			}
+			got, err := win.Get(1, 0, 24)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, make([]byte, 24)) {
+				return fmt.Errorf("unbacked target read %v, want zeros", got)
+			}
+			if win.Backed(1) {
+				return errors.New("a get backed its target")
+			}
+			if err := win.Put(1, 4, []byte("abcd")); err != nil {
+				return err
+			}
+			if !win.Backed(1) {
+				return errors.New("put left its target unbacked")
+			}
+			if err := win.Put(1, 20, []byte("xy")); err != nil {
+				return err
+			}
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		switch c.Rank() {
+		case 1:
+			want := make([]byte, 24)
+			copy(want[4:], "abcd")
+			copy(want[20:], "xy")
+			if got := win.Local(); !bytes.Equal(got, want) {
+				return fmt.Errorf("rank 1 window = %q, want %q", got, want)
+			}
+		case 2:
+			snap := []byte{9, 9, 9, 9}
+			win.SnapshotLocalInto(snap, 28)
+			if !bytes.Equal(snap, make([]byte, 4)) || win.Backed(2) {
+				return fmt.Errorf("snapshot of an untouched window = %v (backed %v), want zeros, unbacked", snap, win.Backed(2))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPutGroupedRejectsNegativeLength: a negative-length segment whose
+// lengths still sum to the data size once panicked PutGroupedAsync with a
+// slice out of range. Every put and get body now checks segments against
+// the declared window size first, so all three reject it with an error
+// and leave the target untouched.
+func TestPutGroupedRejectsNegativeLength(t *testing.T) {
+	segs := []datatype.Segment{{Off: 0, Len: 2}, {Off: 4, Len: -1}}
+	_, err := Run(testCfg(2), func(c *Comm) error {
+		win, err := c.WinCreate(8)
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		if err := win.Lock(1, true); err != nil {
+			return err
+		}
+		if err := win.PutGrouped(1, []PutGroup{{Origin: 0, Segs: segs, Data: []byte{7}}}); err == nil {
+			return errors.New("PutGrouped accepted a negative-length segment")
+		}
+		if _, err := win.PutSegmentsFrom(1, segs, [][]byte{{7, 7}, nil}); err == nil {
+			return errors.New("PutSegmentsFrom accepted a negative-length segment")
+		}
+		if _, err := win.GetSegmentsInto(1, segs, [][]byte{make([]byte, 2), nil}); err == nil {
+			return errors.New("GetSegmentsInto accepted a negative-length segment")
+		}
+		if win.Backed(1) {
+			return errors.New("a rejected transfer backed its target")
+		}
+		return win.Unlock(1)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 
 func TestPutSegmentsAsyncComplete(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 64))
+		win, err := c.WinCreate(64)
 		if err != nil {
 			return err
 		}
@@ -59,7 +59,7 @@ func TestPutSegmentsAsyncComplete(t *testing.T) {
 
 func TestFlushLocalNeedsEpoch(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		win, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
@@ -89,26 +89,30 @@ func putOnce(t *testing.T, put func(w *Win, segs []datatype.Segment, srcs [][]by
 	target := make([]byte, 64)
 	var arrival, issued simtime.Time
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		local := make([]byte, 64)
+		win, err := c.WinCreate(64)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			if err := win.Lock(1, false); err != nil {
+				return err
+			}
+			h, err := put(win, segs, srcs)
+			if err != nil {
+				return err
+			}
+			arrival, issued = h.Arrival(), c.Now()
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
 		if c.Rank() == 1 {
-			local = target
+			copy(target, win.Local())
 		}
-		win, err := c.WinCreate(local)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 {
-			return nil
-		}
-		if err := win.Lock(1, false); err != nil {
-			return err
-		}
-		h, err := put(win, segs, srcs)
-		if err != nil {
-			return err
-		}
-		arrival, issued = h.Arrival(), c.Now()
-		return win.Unlock(1)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +141,7 @@ func TestPutSegmentsFromMatchesPacked(t *testing.T) {
 
 func TestPutSegmentsFromRejectsMismatchedSources(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 32))
+		win, err := c.WinCreate(32)
 		if err != nil {
 			return err
 		}

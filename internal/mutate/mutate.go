@@ -77,6 +77,10 @@ const (
 	// after the first from the previous part — a collective read reply
 	// delivers the wrong bytes for every run but the first.
 	MPIReplyGatherSkew = "mpi.reply-gather-skew"
+	// MPIWindowRebacked makes a window's first-touch backing allocate
+	// fresh zeroed bytes even for a target that already has them — every
+	// put and Local discards what earlier puts and populations stored.
+	MPIWindowRebacked = "mpi.window-rebacked"
 )
 
 // All lists every mutant the gate must catch.
@@ -99,5 +103,6 @@ func All() []string {
 		DelegateCacheStaleServe,
 		MPIPutFromSkew,
 		MPIReplyGatherSkew,
+		MPIWindowRebacked,
 	}
 }

@@ -5,9 +5,11 @@ package tcio
 // the level-1 block list and read queue reuse their storage. With a trace
 // sink set, the recorded event details keep their exact format. Handles
 // that never stage writes are charged their level-1 segment but hold no
-// host bytes for it.
+// host bytes for it, and ranks whose segments nobody touches are charged
+// their window but hold no host bytes for that either.
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -211,6 +213,91 @@ func TestLevel1ChargedWhereHostBytesAreNot(t *testing.T) {
 		}
 		if held != tc.held {
 			t.Errorf("%s: level-1 host buffer held = %v, want %v", tc.name, held, tc.held)
+		}
+	}
+}
+
+// eofPeakMemory is the simulated per-rank peak of eofWindowProgram,
+// pinned from the build that allocated every window's host bytes at Open:
+// four 64-byte segments of window plus one of level 1, at 1 KiB per byte.
+const eofPeakMemory = 5 * 64 << 10
+
+func eofData(n int64) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*5 + 1)
+	}
+	return b
+}
+
+// eofWindowProgram writes the file's first two segments from rank 0 on
+// four ranks, then reads them back on every rank, and reports per phase
+// and rank whether the rank's window held host bytes before Close. Ranks
+// 2 and 3 own only segments past EOF.
+func eofWindowProgram(t *testing.T, readCfg Config) (mpi.Report, [2][4]bool) {
+	t.Helper()
+	m := cluster.Lonestar()
+	m.ByteScale = 1 << 10
+	cfg := Config{SegmentSize: 64, NumSegments: 4}
+	readCfg.SegmentSize, readCfg.NumSegments = cfg.SegmentSize, cfg.NumSegments
+	var backed [2][4]bool
+	rep, err := mpi.Run(mpi.Config{Procs: 4, Machine: m, EnforceMemory: true}, func(c *mpi.Comm) error {
+		f, err := Open(c, "eofwin", WriteMode, cfg)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			if err := f.WriteAt(0, eofData(2*cfg.SegmentSize)); err != nil {
+				return err
+			}
+		}
+		if err := f.Flush(); err != nil {
+			return err
+		}
+		backed[0][c.Rank()] = f.win.Backed(c.Rank())
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if f, err = Open(c, "eofwin", ReadMode, readCfg); err != nil {
+			return err
+		}
+		buf := make([]byte, 2*cfg.SegmentSize)
+		if err := f.ReadAt(0, buf); err != nil {
+			return err
+		}
+		if err := f.Fetch(); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, eofData(2*cfg.SegmentSize)) {
+			return fmt.Errorf("rank %d read back %v", c.Rank(), buf)
+		}
+		backed[1][c.Rank()] = f.win.Backed(c.Rank())
+		return f.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, backed
+}
+
+// TestWindowChargedWhereHostBytesAreNot: every rank is charged its whole
+// window at Open, but only the ranks owning segments inside the file —
+// written, populated or preloaded — hold host bytes for it.
+func TestWindowChargedWhereHostBytesAreNot(t *testing.T) {
+	want := [2][4]bool{{true, true, false, false}, {true, true, false, false}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"preload", Config{}},
+		{"demand", Config{DemandPopulate: true}},
+	} {
+		rep, backed := eofWindowProgram(t, tc.cfg)
+		if rep.PeakMemory != eofPeakMemory {
+			t.Errorf("%s: PeakMemory = %d, want %d", tc.name, rep.PeakMemory, eofPeakMemory)
+		}
+		if backed != want {
+			t.Errorf("%s: window backed [write, read][rank] = %v, want %v", tc.name, backed, want)
 		}
 	}
 }

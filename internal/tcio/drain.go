@@ -56,7 +56,7 @@ func (f *File) populate(seg int64, owner int, slot int64) error {
 // P large disjoint requests; one storage batch lets them fan out per OST.
 func (f *File) preloadAll() error {
 	size := f.store.File().Size()
-	local := f.win.Local()
+	var local []byte // backed only once this rank has a segment to load
 	var reqs []storage.Request
 	var segs []int64
 	for slot := int64(0); slot < int64(f.numSeg); slot++ {
@@ -68,6 +68,9 @@ func (f *File) preloadAll() error {
 		n := f.segSize
 		if base+n > size {
 			n = size - base
+		}
+		if local == nil {
+			local = f.win.Local()
 		}
 		reqs = append(reqs, storage.Request{
 			Off:  base,
@@ -100,13 +103,16 @@ func (f *File) drain() error {
 	if err := f.refaultSpilled(); err != nil {
 		return err
 	}
-	local := f.win.Local()
+	var local []byte // backed only once this rank has a run to drain
 	var reqs []storage.Request
 	for slot := int64(0); slot < int64(f.numSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
 		runs, arrival := f.meta.takePending(seg)
 		if len(runs) == 0 {
 			continue
+		}
+		if local == nil {
+			local = f.win.Local()
 		}
 		// The barrier before drain already synchronized every rank past its
 		// unlocks, so the recorded put arrivals are in this rank's past;

@@ -100,8 +100,8 @@ type session struct {
 	// journaled) or dropped (clean) under memory pressure; spillRefs holds
 	// the journal-file extents a slot's journaled bytes re-fault from.
 	// budgetSegs is the resident-segment cap (0 = unlimited); winReserved
-	// is the simulated charge taken for the window under a budget (the
-	// budget, not the full window), which release must return in kind.
+	// is the simulated charge taken for the window (the budget under one,
+	// the full window otherwise), which release must return in kind.
 	// jArena is the reused epoch-snapshot/refault staging buffer (plain
 	// memory, outside the simulated accountant, like wbArena).
 	jw          *wal.Writer
@@ -147,27 +147,21 @@ type session struct {
 // charged to the rank's simulated share, the collective shared metadata,
 // and the storage access path. cfg must already be normalized.
 func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error) {
-	// Level-2 window memory: NumSegments segments of SegmentSize each.
-	// Under a segment budget (write mode) only the budget's worth is
-	// charged to the rank's simulated share — the spill tier guarantees at
-	// most that many segments stay resident — while the host-side window
-	// stays full-size, so spilled slots keep their bytes for the
-	// simulation and re-faults are pure accounting.
+	// Level-2 window memory: NumSegments segments of SegmentSize each,
+	// charged in full at Open as the paper's library allocates it. Under a
+	// segment budget (write mode) only the budget's worth is charged — the
+	// spill tier guarantees at most that many segments stay resident —
+	// while the window stays full-size, so spilled slots keep their bytes
+	// for the simulation and re-faults are pure accounting. Either way the
+	// host bytes come from the runtime on first touch (mpi.WinCreate): a
+	// rank whose segments nobody writes or populates never holds them.
 	winBytes := int64(cfg.NumSegments) * cfg.SegmentSize
-	var winBuf []byte
-	var winReserved int64
+	winReserved := c.Machine().Scale(winBytes)
 	if cfg.SegmentMemoryBudget > 0 && mode == WriteMode {
 		winReserved = c.Machine().Scale(cfg.SegmentMemoryBudget)
-		if err := c.Reserve(winReserved); err != nil {
-			return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
-		}
-		winBuf = make([]byte, winBytes)
-	} else {
-		var err error
-		winBuf, err = c.Malloc(winBytes)
-		if err != nil {
-			return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
-		}
+	}
+	if err := c.Reserve(winReserved); err != nil {
+		return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
 	}
 	// Level-1 buffer: exactly one segment (paper §IV.A: "we set them to be
 	// equal, and each level-1 buffer is aligned with one level-2 segment").
@@ -176,18 +170,14 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	// writes stage through it — read handles and the DisableLevel1
 	// ablation never touch it.
 	if err := c.Reserve(c.Machine().Scale(cfg.SegmentSize)); err != nil {
-		if winReserved > 0 {
-			c.Release(winReserved)
-		} else {
-			c.Free(winBuf)
-		}
+		c.Release(winReserved)
 		return session{}, fmt.Errorf("tcio: level-1 buffer: %w", err)
 	}
 	var l1 []byte
 	if mode == WriteMode && !cfg.DisableLevel1 {
 		l1 = make([]byte, cfg.SegmentSize)
 	}
-	win, err := c.WinCreate(winBuf)
+	win, err := c.WinCreate(winBytes)
 	if err != nil {
 		return session{}, err
 	}
@@ -278,16 +268,11 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	return s, nil
 }
 
-// release returns the session's accounted memory (Close calls it). Under a
-// segment budget the window was charged by Reserve — only the budget, not
-// the full host-side buffer — so the same amount is Released; freeing the
-// buffer's length would return memory the rank never charged.
+// release returns the session's accounted memory (Close calls it): the
+// window's charge as taken at Open — the budget under SegmentMemoryBudget,
+// the full window otherwise — and the level-1 segment.
 func (s *session) release() {
-	if s.winReserved > 0 {
-		s.c.Release(s.winReserved)
-	} else {
-		s.c.Free(s.win.Local())
-	}
+	s.c.Release(s.winReserved)
 	s.c.Release(s.c.Machine().Scale(s.segSize))
 }
 

@@ -70,47 +70,54 @@ type Epoch struct {
 	Runs []Run
 }
 
-// appendRecord frames one payload into buf.
-func appendRecord(buf []byte, payload []byte) []byte {
-	var pfx [headerSize]byte
-	binary.LittleEndian.PutUint32(pfx[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(pfx[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, pfx[:]...)
-	return append(buf, payload...)
+// frameInPlace writes the length and checksum prefix of the record whose
+// payload already sits in rec[headerSize:].
+func frameInPlace(rec []byte) {
+	payload := rec[headerSize:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // EncodeEpochRecords renders the header and run records of one epoch (no
 // commit marker) as one contiguous byte batch, returning the batch and the
 // journal-relative extent each run's DATA bytes occupy within it — the
-// re-fault addresses a spilled segment is read back from.
+// re-fault addresses a spilled segment is read back from. The batch is
+// sized exactly up front and every record is framed where it lies, so a
+// run's bytes are copied once.
 func EncodeEpochRecords(rank int, seq int64, runs []Run) (batch []byte, dataAt []extent.Extent) {
-	var p [runPayloadMin]byte
-	p[0] = recEpoch
-	binary.LittleEndian.PutUint32(p[1:5], uint32(int32(rank)))
-	binary.LittleEndian.PutUint64(p[5:13], uint64(seq))
-	batch = appendRecord(batch, p[:epochPayloadLen])
+	size := headerSize + epochPayloadLen
+	for _, r := range runs {
+		size += headerSize + runPayloadMin + len(r.Data)
+	}
+	batch = make([]byte, size)
+	rec := batch[:headerSize+epochPayloadLen]
+	rec[headerSize] = recEpoch
+	binary.LittleEndian.PutUint32(rec[headerSize+1:], uint32(int32(rank)))
+	binary.LittleEndian.PutUint64(rec[headerSize+5:], uint64(seq))
+	frameInPlace(rec)
+	pos := len(rec)
 	dataAt = make([]extent.Extent, len(runs))
 	for i, r := range runs {
-		payload := make([]byte, runPayloadMin+len(r.Data))
-		payload[0] = recRun
-		binary.LittleEndian.PutUint64(payload[1:9], uint64(seq))
-		binary.LittleEndian.PutUint64(payload[9:17], uint64(r.Extent.Off))
-		copy(payload[runPayloadMin:], r.Data)
-		dataAt[i] = extent.Extent{
-			Off: int64(len(batch)) + headerSize + runPayloadMin,
-			Len: int64(len(r.Data)),
-		}
-		batch = appendRecord(batch, payload)
+		rec = batch[pos : pos+headerSize+runPayloadMin+len(r.Data)]
+		p := rec[headerSize:]
+		p[0] = recRun
+		binary.LittleEndian.PutUint64(p[1:9], uint64(seq))
+		binary.LittleEndian.PutUint64(p[9:17], uint64(r.Extent.Off))
+		copy(p[runPayloadMin:], r.Data)
+		frameInPlace(rec)
+		dataAt[i] = extent.Extent{Off: int64(pos) + headerSize + runPayloadMin, Len: int64(len(r.Data))}
+		pos += len(rec)
 	}
 	return batch, dataAt
 }
 
 // EncodeCommit renders the commit marker sealing epoch seq.
 func EncodeCommit(seq int64) []byte {
-	var p [commitPayloadLen]byte
-	p[0] = recCommit
-	binary.LittleEndian.PutUint64(p[1:9], uint64(seq))
-	return appendRecord(nil, p[:])
+	rec := make([]byte, headerSize+commitPayloadLen)
+	rec[headerSize] = recCommit
+	binary.LittleEndian.PutUint64(rec[headerSize+1:], uint64(seq))
+	frameInPlace(rec)
+	return rec
 }
 
 // Decode scans a journal image and returns its committed epochs in append

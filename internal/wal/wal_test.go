@@ -16,7 +16,9 @@ package wal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -232,5 +234,44 @@ func TestDataExtentsAddressRunBytes(t *testing.T) {
 				t.Fatalf("trial %d run %d: extent %+v does not address the run's bytes", trial, i, ext)
 			}
 		}
+	}
+}
+
+// goldenEpochRuns is a fixed epoch covering the framing's edge cases: a
+// one-byte run, an empty run, a short run, and one longer than a cache
+// line, at offsets that need all eight bytes of the offset field.
+func goldenEpochRuns() []Run {
+	lens := []int{1, 0, 5, 300}
+	offs := []int64{0, 17, 1 << 20, 1<<40 + 3}
+	runs := make([]Run, len(lens))
+	for i, n := range lens {
+		data := make([]byte, n)
+		for j := range data {
+			data[j] = byte(i*31 + j*7 + 1)
+		}
+		runs[i] = Run{Extent: extent.Extent{Off: offs[i], Len: int64(n)}, Data: data}
+	}
+	return runs
+}
+
+// TestEncodeEpochRecordsGolden pins the batch bytes and the data extents
+// of a fixed epoch, computed from the append-per-record encoder, so a
+// change to how EncodeEpochRecords builds the batch cannot change what
+// lands in the journal.
+func TestEncodeEpochRecordsGolden(t *testing.T) {
+	const (
+		wantLen    = 427
+		wantSHA256 = "f7fc5c1340759043f7699594191cab3dcb1e26274592a8f6f1aeac5b2a5e2227"
+	)
+	wantAt := []extent.Extent{{Off: 46, Len: 1}, {Off: 72, Len: 0}, {Off: 97, Len: 5}, {Off: 127, Len: 300}}
+	batch, dataAt := EncodeEpochRecords(5, 9, goldenEpochRuns())
+	if len(batch) != wantLen {
+		t.Errorf("batch is %d bytes, want %d", len(batch), wantLen)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(batch)); got != wantSHA256 {
+		t.Errorf("batch SHA-256 = %s, want %s", got, wantSHA256)
+	}
+	if fmt.Sprint(dataAt) != fmt.Sprint(wantAt) {
+		t.Errorf("data extents = %v, want %v", dataAt, wantAt)
 	}
 }
