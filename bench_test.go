@@ -2,7 +2,7 @@
 // testing.B benchmark per table and figure of the paper, plus ablations of
 // the design choices DESIGN.md calls out. These run miniature versions of
 // the experiments (few ranks, small arrays) so `go test -bench=.` finishes
-// quickly; cmd/tciobench and cmd/artbench regenerate the full-scale curves.
+// quickly; cmd/tciobench regenerates the full-scale curves.
 //
 // Every benchmark reports the simulated aggregate throughput as the custom
 // metric "simMB/s" — the quantity on the paper's y-axes. Wall-clock ns/op

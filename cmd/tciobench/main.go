@@ -1,34 +1,28 @@
-// Command tciobench regenerates the paper's synthetic-benchmark artifacts:
-// Tables I-III and Figures 5-7.
+// Command tciobench regenerates the paper's artifacts — Tables I-IV and
+// Figures 5-7, 9 and 10 — and the repository's own sweeps, every one of
+// them an experiment of internal/bench's registry.
 //
 // Usage:
 //
-//	tciobench -fig5              # write+read throughput vs process count
-//	tciobench -fig6 -fig7        # throughput vs file size (incl. OOM point)
-//	tciobench -tables            # Tables I, II, III
-//	tciobench -chaos -seed 7     # fault-injection sweep (seed-deterministic)
-//	tciobench -drainsweep        # drain fan-out vs virtual write time
-//	tciobench -overlap           # write-behind / prefetch overlap sweep
-//	tciobench -overlap -chaos    # overlap under faults (counts-only table)
-//	tciobench -nodeagg           # intra-node aggregation sweep (cores/node x segment size)
-//	tciobench -nodeagg -chaos    # node aggregation under faults (counts-only table)
-//	tciobench -sieve             # noncontiguous read engine sweep (sieve budget x holes x granule)
-//	tciobench -sieve -chaos      # sieved reads under faults (counts-only table)
-//	tciobench -delegate          # I/O delegation sweep (servers x files x request size) + delegated reads
-//	tciobench -delegate -chaos   # delegation under faults (counts-only table)
-//	tciobench -delegate-read     # delegated read sweep alone (pattern x server cache x collective)
-//	tciobench -scale             # host wall-clock scale sweep (ranks x GOMAXPROCS)
-//	tciobench -scale -scale-procs 64 -scale-maxprocs 2   # one small scale point
-//	tciobench -crash             # out-of-core budgets + kill-anywhere crash recovery
-//	tciobench -crash -crash-kills 12 -crash-budgets 0,2,4,8   # denser crash sweep
-//	tciobench -overlap -json results/BENCH_pr3.json   # machine-readable results
-//	tciobench -conform -seed 1 -progs 64   # randomized differential conformance sweep
-//	tciobench -all               # everything
-//	tciobench -procs 64,128 -len-sim 1048576 -len-real 4096   # custom sweep
+//	tciobench -run fig5                  # write+read throughput vs process count
+//	tciobench -run fig6,fig7             # throughput vs file size (incl. the OOM point)
+//	tciobench -run tables,table4         # Tables I-IV
+//	tciobench -run fig9,fig10            # ART checkpoint/restart throughput
+//	tciobench -run chaos -seed 7         # fault-injection sweep (seed-deterministic)
+//	tciobench -run overlap-chaos,nodeagg-chaos,sieve-chaos,delegate-chaos -seed 7
+//	tciobench -run delegate-read -det    # deterministic columns only
+//	tciobench -run scale -scale-procs 64 -scale-maxprocs 2   # one small scale point
+//	tciobench -run crash -crash-kills 12 -crash-budgets 0,2,4,8
+//	tciobench -run conform -seed 1 -progs 64   # differential conformance sweep
+//	tciobench -run overlap -json out.json      # every table as JSON ([]stats.Table)
+//	tciobench -run all                   # everything
 //
 // Simulated datasets follow the paper (LENarray=4M elements, files up to
 // 48 GB); -len-real controls how many elements are actually materialized
-// per array (the byte-scale mechanism described in DESIGN.md).
+// per array (the byte-scale mechanism described in DESIGN.md). Every
+// table tags its host-fact columns (wall clock, virtual times that depend
+// on host scheduling); -det drops them, leaving output that is identical
+// run to run.
 package main
 
 import (
@@ -40,505 +34,157 @@ import (
 	"strings"
 
 	"github.com/tcio/tcio/internal/bench"
-	"github.com/tcio/tcio/internal/conformance"
 	"github.com/tcio/tcio/internal/stats"
 )
 
 func main() {
-	var (
-		fig5       = flag.Bool("fig5", false, "regenerate Figure 5 (throughput vs processes)")
-		fig6       = flag.Bool("fig6", false, "regenerate Figure 6 (write throughput vs file size)")
-		fig7       = flag.Bool("fig7", false, "regenerate Figure 7 (read throughput vs file size)")
-		tables     = flag.Bool("tables", false, "print Tables I, II and III")
-		ablations  = flag.Bool("ablations", false, "run the TCIO design-choice ablations")
-		chaos      = flag.Bool("chaos", false, "run the fault-injection chaos sweep")
-		dsweep     = flag.Bool("drainsweep", false, "sweep TCIO drain fan-out on a multi-OST stripe")
-		overlap    = flag.Bool("overlap", false, "sweep write-behind and read-prefetch overlap settings")
-		nodeagg    = flag.Bool("nodeagg", false, "sweep intra-node aggregation (cores/node x segment size)")
-		sieve      = flag.Bool("sieve", false, "sweep the noncontiguous read engine (sieve budget x hole density x interleave granule)")
-		delegate   = flag.Bool("delegate", false, "sweep the I/O delegation tier (server ranks x open files x request size), plus the delegated read sweep")
-		dread      = flag.Bool("delegate-read", false, "sweep the delegated read path alone (access pattern x server cache x collective reads)")
-		scale      = flag.Bool("scale", false, "sweep host wall-clock scalability (simulated ranks x GOMAXPROCS)")
-		scProcs    = flag.String("scale-procs", "64,256,1024,4096", "comma-separated rank counts for -scale")
-		scMaxprocs = flag.String("scale-maxprocs", "1,2,4,8", "comma-separated GOMAXPROCS settings for -scale")
-		scPieces   = flag.Int("scale-pieces", 32, "strided pieces per rank for -scale")
-		scProfiles = flag.Bool("scale-profiles", true, "capture mutex/block profile top entries for -scale")
-		crash      = flag.Bool("crash", false, "run the out-of-core / crash-recovery sweep (uses -seed)")
-		crKills    = flag.Int("crash-kills", 0, "kill instants replayed per -crash configuration (0 = default)")
-		crBudgets  = flag.String("crash-budgets", "", "comma-separated resident-segment budgets for -crash (empty = default)")
-		jsonPath   = flag.String("json", "", "also write -overlap results as JSON to this path")
-		all        = flag.Bool("all", false, "run everything")
-		procs      = flag.String("procs", "64,128,256,512,1024", "comma-separated process counts for -fig5")
-		lenSim     = flag.Int("len-sim", 4<<20, "simulated LENarray (elements per array per process)")
-		lenReal    = flag.Int("len-real", 4<<10, "materialized elements per array per process")
-		seed       = flag.Int64("seed", 1, "fault-injection seed for -chaos")
-		rates      = flag.String("chaos-rates", "0,0.01,0.05", "comma-separated OST transient-error rates for -chaos")
-		cprocs     = flag.Int("chaos-procs", 64, "process count for -chaos")
-		dworkers   = flag.Int("drain-workers", 0, "TCIO drain fan-out for -chaos runs (0 or 1 = serial)")
-		verify     = flag.Bool("verify", true, "verify every byte on read-back")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		quiet      = flag.Bool("quiet", false, "suppress progress lines")
-		conform    = flag.Bool("conform", false, "run the randomized differential conformance sweep (uses -seed, -progs, -corpus)")
-		progs      = flag.Int("progs", 32, "number of generated programs for -conform")
-		corpus     = flag.String("corpus", "", "directory receiving shrunk repros of -conform divergences")
-	)
+	o := bench.DefaultOptions()
+	run := flag.String("run", "", "comma-separated experiments (listed above), or all")
+	det := flag.Bool("det", false, "drop host-fact columns, leaving only deterministic ones")
+	jsonPath := flag.String("json", "", "also write every table to this path as JSON")
+	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	quiet := flag.Bool("quiet", false, "suppress progress lines")
+	flag.BoolVar(&o.Verify, "verify", o.Verify, "verify every byte on read-back")
+	flag.Int64Var(&o.Seed, "seed", o.Seed, "seed of fault injection, crash kills and generated programs")
+	flag.Var(list[int]{&o.Procs, count}, "procs", "comma-separated process counts for fig5, fig9 and fig10")
+	flag.IntVar(&o.LenSim, "len-sim", o.LenSim, "simulated LENarray (elements per array per process)")
+	flag.IntVar(&o.LenReal, "len-real", o.LenReal, "materialized elements per array per process")
+	flag.IntVar(&o.ChaosProcs, "chaos-procs", o.ChaosProcs, "process count for chaos")
+	flag.Var(list[float64]{&o.ChaosRates, rate}, "chaos-rates", "comma-separated OST transient-error rates for chaos")
+	flag.IntVar(&o.DrainWorkers, "drain-workers", 0, "TCIO drain fan-out for chaos, drainsweep and overlap (0 = each sweep's default)")
+	flag.Var(list[int]{&o.ScaleProcs, count}, "scale-procs", "comma-separated rank counts for scale")
+	flag.Var(list[int]{&o.ScaleMaxProcs, count}, "scale-maxprocs", "comma-separated GOMAXPROCS settings for scale")
+	flag.IntVar(&o.ScalePieces, "scale-pieces", o.ScalePieces, "strided pieces per rank for scale")
+	flag.BoolVar(&o.ScaleProfiles, "scale-profiles", o.ScaleProfiles, "capture mutex/block profile top entries for scale")
+	flag.IntVar(&o.CrashKills, "crash-kills", 0, "kill instants replayed per crash configuration (0 = default)")
+	flag.Var(list[int64]{&o.CrashBudgets, budget}, "crash-budgets", "comma-separated resident-segment budgets for crash (empty = default)")
+	flag.IntVar(&o.Trees, "trees", o.Trees, "number of ART FTT segments for fig9 and fig10 (Table IV: 1024)")
+	flag.IntVar(&o.Progs, "progs", o.Progs, "number of generated programs for conform")
+	flag.StringVar(&o.Corpus, "corpus", "", "directory receiving shrunk repros of conform divergences")
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintln(out, "usage: tciobench -run NAME,...|all [flags]\n\nexperiments:")
+		for _, e := range bench.Experiments {
+			fmt.Fprintf(out, "  %-15s %s\n", e.Name, e.Doc)
+		}
+		fmt.Fprintln(out, "\nflags:")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	if *conform {
-		failures, err := conformance.RunSweep(os.Stdout, *seed, *progs, *corpus)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		if failures > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-	if *scale {
-		sopts := bench.DefaultScale()
-		sopts.PiecesPerRank = *scPieces
-		sopts.Profiles = *scProfiles
-		sopts.Verify = *verify
-		if !*quiet {
-			sopts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ", line) }
-		}
-		var err error
-		if sopts.Procs, err = parseProcs(*scProcs); err == nil {
-			sopts.GoMaxProcs, err = parseProcs(*scMaxprocs)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		t, report, err := bench.Scale(sopts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		if *csv {
-			fmt.Printf("# %s\n", t.Title)
-			err = t.CSV(os.Stdout)
-		} else {
-			err = t.Render(os.Stdout)
-		}
-		if err == nil && *jsonPath != "" {
-			var blob []byte
-			if blob, err = json.MarshalIndent(report, "", "  "); err == nil {
-				err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
-			}
-			if err == nil && !*quiet {
-				fmt.Fprintln(os.Stderr, "  ", "wrote", *jsonPath)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *crash {
-		copts := bench.DefaultCrash()
-		copts.Seed = *seed
-		copts.Verify = *verify
-		if *crKills > 0 {
-			copts.Kills = *crKills
-		}
-		if !*quiet {
-			copts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ", line) }
-		}
-		var err error
-		if *crBudgets != "" {
-			if copts.Budgets, err = parseBudgets(*crBudgets); err != nil {
-				fmt.Fprintln(os.Stderr, "tciobench:", err)
-				os.Exit(1)
-			}
-		}
-		t, report, err := bench.Crash(copts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		if *csv {
-			fmt.Printf("# %s\n", t.Title)
-			err = t.CSV(os.Stdout)
-		} else {
-			err = t.Render(os.Stdout)
-		}
-		if err == nil && *jsonPath != "" {
-			var blob []byte
-			if blob, err = json.MarshalIndent(report, "", "  "); err == nil {
-				err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
-			}
-			if err == nil && !*quiet {
-				fmt.Fprintln(os.Stderr, "  ", "wrote", *jsonPath)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if !*fig5 && !*fig6 && !*fig7 && !*tables && !*ablations && !*chaos && !*dsweep && !*overlap && !*nodeagg && !*sieve && !*delegate && !*dread && !*all {
+	if *run == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// "-overlap -chaos" / "-nodeagg -chaos" / "-sieve -chaos" /
-	// "-delegate -chaos" (without -all) mean the feature's chaos table
-	// alone, not the regular chaos sweep plus a clean feature sweep.
-	overlapChaos := *overlap && *chaos && !*all
-	nodeaggChaos := *nodeagg && *chaos && !*all
-	sieveChaos := *sieve && *chaos && !*all
-	delegateChaos := *delegate && *chaos && !*all
-	if err := run(*fig5 || *all, *fig6 || *all, *fig7 || *all, *tables || *all,
-		*ablations || *all, (*chaos || *all) && !overlapChaos && !nodeaggChaos && !sieveChaos && !delegateChaos, *dsweep || *all,
-		(*overlap || *all) && !overlapChaos, overlapChaos,
-		(*nodeagg || *all) && !nodeaggChaos, nodeaggChaos,
-		(*sieve || *all) && !sieveChaos, sieveChaos,
-		(*delegate || *all) && !delegateChaos, delegateChaos,
-		(*delegate || *all) && !delegateChaos || *dread, *jsonPath, *procs, *lenSim, *lenReal,
-		*seed, *rates, *cprocs, *dworkers, *verify, *csv, *quiet); err != nil {
+	experiments, err := bench.Select(*run)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tciobench:", err)
-		os.Exit(1)
+		os.Exit(2)
+	}
+	o.Out = os.Stdout
+	if !*quiet {
+		o.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ", line) }
+	}
+	var all []stats.Table
+	for _, e := range experiments {
+		tables, err := e.Run(&o)
+		if err != nil {
+			fail(err)
+		}
+		for _, t := range tables {
+			t.Experiment = e.Name
+			if *det {
+				t = t.Det()
+			}
+			if err := emit(t, *csv); err != nil {
+				fail(err)
+			}
+			all = append(all, t)
+		}
+	}
+	if *jsonPath != "" {
+		blob, err := json.MarshalIndent(all, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
+		}
+		if err != nil {
+			fail(err)
+		}
+		if !*quiet {
+			fmt.Fprintln(os.Stderr, "  ", "wrote", *jsonPath)
+		}
 	}
 }
 
-func run(fig5, fig6, fig7, tables, ablations, chaos, drainsweep, overlap, overlapChaos,
-	nodeagg, nodeaggChaos, sieve, sieveChaos, delegate, delegateChaos, delegateRead bool,
-	jsonPath, procsSpec string, lenSim, lenReal int, seed int64, ratesSpec string,
-	chaosProcs, drainWorkers int, verify, csv, quiet bool) error {
-	emit := func(t stats.Table) error {
-		if csv {
-			fmt.Printf("# %s\n", t.Title)
-			return t.CSV(os.Stdout)
-		}
-		return t.Render(os.Stdout)
-	}
-	progress := func(line string) {
-		if !quiet {
-			fmt.Fprintln(os.Stderr, "  ", line)
-		}
-	}
-
-	opts := bench.DefaultSweep()
-	opts.LenSim = lenSim
-	opts.LenReal = lenReal
-	opts.Verify = verify
-	opts.Progress = progress
+// emit prints one table, aligned or as CSV, and its note.
+func emit(t stats.Table, csv bool) error {
 	var err error
-	if opts.Procs, err = parseProcs(procsSpec); err != nil {
-		return err
+	if csv {
+		fmt.Printf("# %s\n", t.Title)
+		err = t.CSV(os.Stdout)
+	} else {
+		err = t.Render(os.Stdout)
 	}
-
-	if tables {
-		if err := emit(bench.Table1()); err != nil {
-			return err
-		}
-		if err := emit(bench.Table2(opts)); err != nil {
-			return err
-		}
-		if err := emit(bench.Table3()); err != nil {
-			return err
-		}
-		loc2, loc3 := bench.ProgramLines()
-		r2, r3 := bench.ProgramReadLines()
-		fmt.Printf("programming effort: OCIO write=%d read=%d lines; TCIO write=%d read=%d lines\n\n",
-			loc2, r2, loc3, r3)
+	if err == nil && t.Note != "" {
+		_, err = fmt.Printf("%s\n\n", t.Note)
 	}
+	return err
+}
 
-	if fig5 {
-		w, r, _, err := bench.Fig5(opts)
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "tciobench:", err)
+	os.Exit(1)
+}
+
+// list is a comma-separated flag whose elements parse with parse.
+type list[T any] struct {
+	vals  *[]T
+	parse func(string) (T, error)
+}
+
+func (l list[T]) String() string {
+	if l.vals == nil {
+		return ""
+	}
+	parts := make([]string, len(*l.vals))
+	for i, v := range *l.vals {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (l list[T]) Set(spec string) error {
+	var out []T
+	for _, part := range strings.Split(spec, ",") {
+		v, err := l.parse(strings.TrimSpace(part))
 		if err != nil {
 			return err
 		}
-		if err := emit(w); err != nil {
-			return err
-		}
-		if err := emit(r); err != nil {
-			return err
-		}
+		out = append(out, v)
 	}
-
-	if fig6 || fig7 {
-		fopts := bench.DefaultFileSizeSweep()
-		fopts.LenReal = lenReal
-		fopts.Verify = verify
-		fopts.Progress = progress
-		w, r, _, err := bench.Fig6And7(fopts)
-		if err != nil {
-			return err
-		}
-		if fig6 {
-			if err := emit(w); err != nil {
-				return err
-			}
-		}
-		if fig7 {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-	}
-
-	if ablations {
-		aopts := bench.DefaultAblation()
-		aopts.LenReal = lenReal
-		aopts.Progress = progress
-		t, err := bench.Ablations(aopts)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-
-	if chaos {
-		copts := bench.DefaultChaos()
-		copts.Seed = seed
-		copts.Procs = chaosProcs
-		copts.LenSim = lenSim
-		copts.LenReal = lenReal
-		copts.DrainWorkers = drainWorkers
-		copts.Verify = verify
-		copts.Progress = progress
-		var err error
-		if copts.Rates, err = parseRates(ratesSpec); err != nil {
-			return err
-		}
-		t, err := bench.Chaos(copts)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-
-	if drainsweep {
-		dopts := bench.DefaultDrainSweep()
-		dopts.LenSim = lenSim
-		dopts.LenReal = lenReal
-		dopts.Verify = verify
-		dopts.Progress = progress
-		if drainWorkers > 0 {
-			dopts.Workers = []int{1, drainWorkers}
-		}
-		t, err := bench.DrainSweep(dopts)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-
-	if overlap || overlapChaos {
-		oopts := bench.DefaultOverlap()
-		oopts.LenSim = lenSim
-		oopts.LenReal = lenReal
-		oopts.Verify = verify
-		oopts.Progress = progress
-		if drainWorkers > 0 {
-			oopts.Workers = drainWorkers
-		}
-		if overlapChaos {
-			t, err := bench.OverlapChaos(oopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		if overlap {
-			wt, rt, report, err := bench.Overlap(oopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(wt); err != nil {
-				return err
-			}
-			if err := emit(rt); err != nil {
-				return err
-			}
-			if jsonPath != "" {
-				blob, err := json.MarshalIndent(report, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				if !quiet {
-					fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-				}
-			}
-		}
-	}
-
-	if nodeagg || nodeaggChaos {
-		nopts := bench.DefaultNodeAgg()
-		nopts.Verify = verify
-		nopts.Progress = progress
-		if nodeaggChaos {
-			t, err := bench.NodeAggChaos(nopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		if nodeagg {
-			t, report, err := bench.NodeAgg(nopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-			if jsonPath != "" {
-				blob, err := json.MarshalIndent(report, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				if !quiet {
-					fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-				}
-			}
-		}
-	}
-
-	if sieve || sieveChaos {
-		sopts := bench.DefaultSieve()
-		sopts.Verify = verify
-		sopts.Progress = progress
-		if sieveChaos {
-			t, err := bench.SieveChaos(sopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		if sieve {
-			holes, inter, report, err := bench.Sieve(sopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(holes); err != nil {
-				return err
-			}
-			if err := emit(inter); err != nil {
-				return err
-			}
-			if jsonPath != "" {
-				blob, err := json.MarshalIndent(report, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				if !quiet {
-					fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-				}
-			}
-		}
-	}
-
-	if delegate || delegateChaos || delegateRead {
-		dlopts := bench.DefaultDelegate()
-		dlopts.Verify = verify
-		dlopts.Progress = progress
-		if delegateChaos {
-			t, err := bench.DelegateChaos(dlopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		var report *bench.DelegateReport
-		if delegate {
-			t, rep, err := bench.Delegate(dlopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-			report = rep
-		}
-		if delegateRead {
-			ropts := bench.DefaultDelegateRead()
-			ropts.Verify = verify
-			ropts.Progress = progress
-			t, points, err := bench.DelegateRead(ropts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-			if report != nil {
-				report.ReadPoints = points
-			}
-		}
-		if report != nil && jsonPath != "" {
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
-			if !quiet {
-				fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-			}
-		}
-	}
+	*l.vals = out
 	return nil
 }
 
-func parseRates(spec string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 || v > 1 {
-			return nil, fmt.Errorf("bad error rate %q", part)
-		}
-		out = append(out, v)
+func count(s string) (int, error) {
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 1 {
+		return 0, fmt.Errorf("bad count %q", s)
 	}
-	return out, nil
+	return v, nil
 }
 
-func parseBudgets(spec string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad segment budget %q", part)
-		}
-		out = append(out, v)
+func rate(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || v < 0 || v > 1 {
+		return 0, fmt.Errorf("bad error rate %q", s)
 	}
-	return out, nil
+	return v, nil
 }
 
-func parseProcs(spec string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad process count %q", part)
-		}
-		out = append(out, v)
+func budget(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad segment budget %q", s)
 	}
-	return out, nil
+	return v, nil
 }

@@ -17,7 +17,7 @@ type AblationOptions struct {
 	// LenSim / LenReal as in SweepOptions.
 	LenSim, LenReal int
 	// Progress, if non-nil, receives one line per completed variant.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultAblation returns a workstation-scale ablation configuration.
@@ -57,6 +57,8 @@ func AggregatorSweep(opts AblationOptions, counts []int) (stats.Table, error) {
 	t := stats.Table{
 		Title:   fmt.Sprintf("OCIO collective buffering: aggregator count sweep (%d processes)", opts.Procs),
 		Headers: []string{"aggregators", "write MB/s", "read MB/s"},
+		Host:    []string{"write MB/s", "read MB/s"},
+		Params:  opts,
 	}
 	scale := int64(opts.LenSim / opts.LenReal)
 	for _, n := range counts {
@@ -83,10 +85,8 @@ func AggregatorSweep(opts AblationOptions, counts []int) (stats.Table, error) {
 			label = fmt.Sprintf("%d (all ranks, paper setting)", opts.Procs)
 		}
 		t.AddRow(label, phaseCell(res.Write), phaseCell(res.Read))
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("aggregators=%-4s write=%s read=%s",
-				label, phaseCell(res.Write), phaseCell(res.Read)))
-		}
+		progressf(opts.Progress, "aggregators=%-4s write=%s read=%s",
+			label, phaseCell(res.Write), phaseCell(res.Read))
 	}
 	return t, nil
 }
@@ -96,6 +96,8 @@ func Ablations(opts AblationOptions) (stats.Table, error) {
 	t := stats.Table{
 		Title:   fmt.Sprintf("TCIO design ablations (%d processes)", opts.Procs),
 		Headers: []string{"variant", "write MB/s", "read MB/s", "notes"},
+		Host:    []string{"write MB/s", "read MB/s"},
+		Params:  opts,
 	}
 	scale := int64(opts.LenSim / opts.LenReal)
 	for _, v := range ablationVariants() {
@@ -120,10 +122,8 @@ func Ablations(opts AblationOptions) (stats.Table, error) {
 			return t, fmt.Errorf("ablation %q: %w", v.name, err)
 		}
 		t.AddRow(v.name, phaseCell(res.Write), phaseCell(res.Read), v.detail)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("ablation %-22s write=%s read=%s",
-				v.name, phaseCell(res.Write), phaseCell(res.Read)))
-		}
+		progressf(opts.Progress, "ablation %-22s write=%s read=%s",
+			v.name, phaseCell(res.Write), phaseCell(res.Read))
 	}
 	return t, nil
 }

@@ -2,10 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/faults"
-	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/stats"
 )
 
@@ -51,7 +51,7 @@ type ChaosOptions struct {
 	// Verify makes readers check every byte against the generator.
 	Verify bool
 	// Progress receives one line per completed run.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultChaos returns the sweep reported in EXPERIMENTS.md: 64 processes,
@@ -86,20 +86,6 @@ func (o ChaosOptions) ChaosInjector(rate float64) *faults.Injector {
 		Set(faults.SiteWinPut, faults.Rule{Prob: o.PutDropProb})
 }
 
-// NewChaosEnv builds a benchmark environment whose file system, network,
-// and memory accountant all inject from the given fault injector.
-func NewChaosEnv(scale int64, inj *faults.Injector) (*Env, error) {
-	env, err := NewEnv(scale)
-	if err != nil {
-		return nil, err
-	}
-	fscfg := env.FS.Config()
-	fscfg.Faults = inj
-	env.FS = pfs.New(fscfg)
-	env.Faults = inj
-	return env, nil
-}
-
 // Chaos runs TCIO and OCIO write+read under each OST error rate and
 // tabulates injection and retry counts. Only deterministic quantities are
 // reported (counts, not virtual times), so two sweeps with the same seed
@@ -113,20 +99,16 @@ func Chaos(opts ChaosOptions) (stats.Table, error) {
 			opts.Procs, opts.Seed),
 		Headers: []string{"ost-rate", "method", "phase", "drain-workers", "injected", "fs-retries",
 			"setup-retries", "slow-svc", "lock-storms", "alloc-retries", "result"},
+		Params: opts,
 	}
 	types := []datatype.Type{datatype.Int, datatype.Double}
+	workers := max(opts.DrainWorkers, 1)
 	for _, rate := range opts.Rates {
 		for _, method := range []Method{MethodTCIO, MethodOCIO} {
 			inj := opts.ChaosInjector(rate)
-			scale := int64(opts.LenSim / opts.LenReal)
-			env, err := NewChaosEnv(scale, inj)
+			env, err := newEnv(int64(opts.LenSim/opts.LenReal), opts.StripeCount, inj)
 			if err != nil {
 				return t, err
-			}
-			if opts.StripeCount > 1 {
-				fscfg := env.FS.Config()
-				fscfg.StripeCount = opts.StripeCount
-				env.FS = pfs.New(fscfg)
 			}
 			cfg := SyntheticConfig{
 				Method:       method,
@@ -138,43 +120,59 @@ func Chaos(opts ChaosOptions) (stats.Table, error) {
 				FileName:     fmt.Sprintf("chaos-%v-%d", method, int(rate*1000)),
 				DrainWorkers: opts.DrainWorkers,
 			}
-			workers := opts.DrainWorkers
-			if workers < 1 {
-				workers = 1
-			}
-			for _, write := range []bool{true, false} {
-				phase := "read"
-				if write {
-					phase = "write"
-				}
+			for _, phase := range []string{"write", "read"} {
 				before := inj.TotalInjected()
-				pr := runPhase(env, cfg, write)
-				result := "ok"
-				if pr.Failed {
-					result = pr.FailReason
-				}
-				t.AddRow(
-					fmt.Sprintf("%.2f", rate),
-					method.String(),
-					phase,
-					fmt.Sprintf("%d", workers),
-					fmt.Sprintf("%d", inj.TotalInjected()-before),
-					fmt.Sprintf("%d", pr.FS.Retries),
-					fmt.Sprintf("%d", pr.Net.SetupRetries),
-					fmt.Sprintf("%d", pr.FS.SlowServices),
-					fmt.Sprintf("%d", pr.FS.LockStorms),
-					fmt.Sprintf("%d", pr.AllocRetries),
-					result,
-				)
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("chaos rate=%.2f %v %s: %s (injected %d)",
-						rate, method, phase, result, inj.TotalInjected()-before))
-				}
-				if pr.Failed && write {
+				pr := runPhase(env, cfg, phase == "write")
+				injected := inj.TotalInjected() - before
+				t.AddRow(fmt.Sprintf("%.2f", rate), method, phase, workers, injected, pr.FS.Retries,
+					pr.Net.SetupRetries, pr.FS.SlowServices, pr.FS.LockStorms, pr.AllocRetries, pr.Result())
+				progressf(opts.Progress, "chaos rate=%.2f %v %s: %s (injected %d)",
+					rate, method, phase, pr.Result(), injected)
+				if pr.Failed && phase == "write" {
 					break // nothing on disk to read back
 				}
 			}
 		}
 	}
 	return t, nil
+}
+
+// chaosTable is a counts-only table of a feature sweep run under fault
+// injection: every cell runs in a fresh environment whose hardware injects
+// at the chaos sweep's background rates and a 1% OST error rate, all drawn
+// from one seed, and renders as its key columns, the injections it counts,
+// its counters and its result.
+type chaosTable struct {
+	stats.Table
+	name     string
+	seed     int64
+	progress func(string)
+}
+
+func newChaosTable(name, title string, seed int64, progress func(string), params any, key, counters []string) *chaosTable {
+	headers := append(append(append(key, "injected"), counters...), "result")
+	return &chaosTable{
+		Table: stats.Table{Title: title, Headers: headers, Params: params},
+		name:  name, seed: seed, progress: progress,
+	}
+}
+
+// cell runs one cell on a byte-scaled environment striped over stripe OSTs
+// (0 or 1 keeps the paper's single OST). run returns the injections the
+// cell counts, its counter cells and its result.
+func (c *chaosTable) cell(scale int64, stripe int, key []any,
+	run func(env *Env) (injected int64, counters []any, result string, err error)) error {
+	base := DefaultChaos()
+	base.Seed = c.seed
+	env, err := newEnv(scale, stripe, base.ChaosInjector(0.01))
+	if err != nil {
+		return err
+	}
+	injected, counters, result, err := run(env)
+	if err != nil {
+		return err
+	}
+	c.AddRow(append(append(append(key, injected), counters...), result)...)
+	progressf(c.progress, "%s chaos %s: %s", c.name, strings.Trim(fmt.Sprint(key), "[]"), result)
+	return nil
 }

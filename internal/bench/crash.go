@@ -82,24 +82,30 @@ func DefaultCrash() CrashOptions {
 
 // CrashRow is one configuration's outcome.
 type CrashRow struct {
-	Experiment   string `json:"experiment"` // "out-of-core" or "crash"
-	BudgetSegs   int64  `json:"budget_segs"`
-	Result       string `json:"result"`
-	PeakMemory   int64  `json:"peak_memory"`
-	Spills       int64  `json:"spills"`
-	CleanDrops   int64  `json:"clean_drops"`
-	RefaultBytes int64  `json:"refault_bytes"`
-	JournalBytes int64  `json:"journal_bytes"`
-	Epochs       int64  `json:"epochs"`
-	Commits      int64  `json:"commits"`
-	Kills        int    `json:"kills"`
-	KillsOK      int    `json:"kills_ok"`
+	Experiment   string // "out-of-core" or "crash"
+	BudgetSegs   int64
+	Result       string
+	PeakMemory   int64
+	Spills       int64
+	CleanDrops   int64
+	RefaultBytes int64
+	JournalBytes int64
+	Epochs       int64
+	Commits      int64
+	Kills        int
+	KillsOK      int
 }
 
-// CrashReport is the machine-readable result of the sweep.
-type CrashReport struct {
-	Options CrashOptions `json:"options"`
-	Rows    []CrashRow   `json:"rows"`
+// addStats sums the ranks' spill and journal counters into the row.
+func (row *CrashRow) addStats(sts []tcio.Stats) {
+	for _, s := range sts {
+		row.Spills += s.SpillSegments
+		row.CleanDrops += s.CleanDrops
+		row.RefaultBytes += s.SpillRefaultBytes
+		row.JournalBytes += s.JournalBytes
+		row.Epochs += s.JournalEpochs
+		row.Commits += s.JournalCommits
+	}
 }
 
 const crashFile = "crash.dat"
@@ -146,7 +152,7 @@ func crashWorkload(c *mpi.Comm, f *tcio.File, blocks, rounds int) error {
 // Crash runs the sweep and tabulates both experiments. Every reported
 // quantity is a pure function of the options (virtual-time kill draws
 // included), so two sweeps with the same options emit identical tables.
-func Crash(opts CrashOptions) (stats.Table, *CrashReport, error) {
+func Crash(opts CrashOptions) (stats.Table, []CrashRow, error) {
 	if opts.Kills < 1 {
 		opts.Kills = 1
 	}
@@ -155,18 +161,14 @@ func Crash(opts CrashOptions) (stats.Table, *CrashReport, error) {
 			opts.Procs, opts.Kills, opts.Seed),
 		Headers: []string{"experiment", "budget-segs", "result", "peak-mem",
 			"spills", "clean-drops", "refault-B", "journal-B", "epochs", "commits", "kills", "kills-ok"},
+		Params: opts,
 	}
-	rep := &CrashReport{Options: opts}
+	var rows []CrashRow
 	add := func(row CrashRow) {
-		rep.Rows = append(rep.Rows, row)
-		t.AddRow(row.Experiment, fmt.Sprintf("%d", row.BudgetSegs), row.Result,
-			fmt.Sprintf("%d", row.PeakMemory), fmt.Sprintf("%d", row.Spills),
-			fmt.Sprintf("%d", row.CleanDrops), fmt.Sprintf("%d", row.RefaultBytes),
-			fmt.Sprintf("%d", row.JournalBytes), fmt.Sprintf("%d", row.Epochs),
-			fmt.Sprintf("%d", row.Commits), fmt.Sprintf("%d", row.Kills), fmt.Sprintf("%d", row.KillsOK))
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("crash %s budget=%d: %s", row.Experiment, row.BudgetSegs, row.Result))
-		}
+		rows = append(rows, row)
+		t.AddRow(row.Experiment, row.BudgetSegs, row.Result, row.PeakMemory, row.Spills, row.CleanDrops,
+			row.RefaultBytes, row.JournalBytes, row.Epochs, row.Commits, row.Kills, row.KillsOK)
+		progressf(opts.Progress, "crash %s budget=%d: %s", row.Experiment, row.BudgetSegs, row.Result)
 	}
 	for _, budget := range opts.Budgets {
 		add(crashOOMPoint(opts, budget))
@@ -174,7 +176,7 @@ func Crash(opts CrashOptions) (stats.Table, *CrashReport, error) {
 	for _, budget := range opts.Budgets {
 		add(crashKillPoint(opts, budget))
 	}
-	return t, rep, nil
+	return t, rows, nil
 }
 
 // crashOOMPoint runs one out-of-core configuration on the constrained
@@ -206,14 +208,7 @@ func crashOOMPoint(opts CrashOptions, budgetSegs int64) CrashRow {
 			return nil
 		})
 	row.PeakMemory = mrep.PeakMemory
-	for _, s := range sts {
-		row.Spills += s.SpillSegments
-		row.CleanDrops += s.CleanDrops
-		row.RefaultBytes += s.SpillRefaultBytes
-		row.JournalBytes += s.JournalBytes
-		row.Epochs += s.JournalEpochs
-		row.Commits += s.JournalCommits
-	}
+	row.addStats(sts)
 	switch {
 	case budgetSegs == 0 && errors.Is(err, cluster.ErrOutOfMemory):
 		row.Result = "OOM (windows exceed node memory)"
@@ -261,14 +256,7 @@ func crashKillPoint(opts CrashOptions, budgetSegs int64) CrashRow {
 		row.Result = fmt.Sprintf("FAILED: %v", err)
 		return row
 	}
-	for _, s := range sts {
-		row.Spills += s.SpillSegments
-		row.CleanDrops += s.CleanDrops
-		row.RefaultBytes += s.SpillRefaultBytes
-		row.JournalBytes += s.JournalBytes
-		row.Epochs += s.JournalEpochs
-		row.Commits += s.JournalCommits
-	}
+	row.addStats(sts)
 
 	rng := rand.New(rand.NewSource(opts.Seed*1664525 + 1013904223 + budgetSegs))
 	m := int64(mrep.MaxTime)

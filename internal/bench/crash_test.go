@@ -17,14 +17,14 @@ func testCrashOptions() CrashOptions {
 // point completes byte-exactly with the tightest budget actually spilling,
 // and every crash point survives all of its kill-replay-recover cycles.
 func TestCrashSweepOutcomes(t *testing.T) {
-	_, rep, err := Crash(testCrashOptions())
+	_, rows, err := Crash(testCrashOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 6 { // 3 budgets x 2 experiments
-		t.Fatalf("rows = %d, want 6", len(rep.Rows))
+	if len(rows) != 6 { // 3 budgets x 2 experiments
+		t.Fatalf("rows = %d, want 6", len(rows))
 	}
-	for _, row := range rep.Rows {
+	for _, row := range rows {
 		switch {
 		case row.Experiment == "out-of-core" && row.BudgetSegs == 0:
 			if !strings.HasPrefix(row.Result, "OOM") {
@@ -62,8 +62,8 @@ func TestCrashSweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ra.Rows, rb.Rows) {
-		t.Fatalf("crash sweep not reproducible:\nrun 1: %+v\nrun 2: %+v", ra.Rows, rb.Rows)
+	if !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("crash sweep not reproducible:\nrun 1: %+v\nrun 2: %+v", ra, rb)
 	}
 	if !reflect.DeepEqual(ta.Rows, tb.Rows) {
 		t.Fatalf("crash tables differ between runs")

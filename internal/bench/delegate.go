@@ -58,7 +58,7 @@ type DelegateOptions struct {
 	// and checks each byte against the generator.
 	Verify bool
 	// Progress receives one line per completed cell.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultDelegate sweeps 0/1/2 servers against 1 and 2 open files and
@@ -80,32 +80,18 @@ func DefaultDelegate() DelegateOptions {
 
 // DelegatePoint is one cell's result. Sizes are simulated bytes.
 type DelegatePoint struct {
-	Servers       int     `json:"servers"`
-	Files         int     `json:"files"`
-	ReqSize       int64   `json:"req_size"`
-	Procs         int     `json:"procs"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	WriteReqs     int64   `json:"write_reqs"`
-	CreditStalls  int64   `json:"credit_stalls"`
-	Staged        int64   `json:"staged_writes"`
-	BatchedRuns   int64   `json:"batched_runs"`
-	FSWrites      int64   `json:"fs_writes"`
-	Result        string  `json:"result"`
-}
-
-// DelegateReport is the machine-readable result of one sweep
-// (tciobench -delegate -json).
-type DelegateReport struct {
-	Clients       int             `json:"clients"`
-	SegsPerClient int             `json:"segs_per_client"`
-	SegSize       int64           `json:"seg_size"` // simulated bytes
-	QueueDepth    int             `json:"queue_depth"`
-	Scale         int64           `json:"scale"`
-	Points        []DelegatePoint `json:"points"`
-	// ReadPoints holds the delegated read sweep's cells (DelegateRead);
-	// nil when only the write sweep ran.
-	ReadPoints []DelegateReadPoint `json:"read_points,omitempty"`
+	Servers       int
+	Files         int
+	ReqSize       int64
+	Procs         int
+	VirtualTimeNs int64
+	MBs           float64
+	WriteReqs     int64
+	CreditStalls  int64
+	Staged        int64
+	BatchedRuns   int64
+	FSWrites      int64
+	Result        string
 }
 
 // delegateByte is the workload's deterministic content generator; the
@@ -163,12 +149,7 @@ func delegateWrite(opts DelegateOptions, env *Env, servers, files int,
 	cfg := delegateConfig(opts, servers)
 	col := &delegate.Collector{}
 	cfg.Collect = col
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
+	ok := pr.record(mpi.Run(env.world(procs, false), func(c *mpi.Comm) error {
 		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
 			handles := make([]*delegate.File, files)
 			for fi := range handles {
@@ -214,10 +195,8 @@ func delegateWrite(opts DelegateOptions, env *Env, servers, files int,
 			}
 			return nil
 		})
-	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
+	}))
+	if !ok {
 		return pr, agg
 	}
 	for _, s := range col.Servers() {
@@ -225,11 +204,6 @@ func delegateWrite(opts DelegateOptions, env *Env, servers, files int,
 		agg.batchedRuns += s.BatchedRuns
 		agg.retries += s.Retries
 	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
 	return pr, agg
 }
 
@@ -240,12 +214,7 @@ func delegateVerify(opts DelegateOptions, env *Env, servers, files int,
 	env.FS.Reset()
 	fileBytes := delegateFileBytes(opts)
 	cfg := delegateConfig(opts, servers)
-	_, err := mpi.Run(mpi.Config{
-		Procs:   opts.Clients + servers,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
+	_, err := mpi.Run(env.world(opts.Clients+servers, false), func(c *mpi.Comm) error {
 		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
 			handles := make([]*delegate.File, files)
 			for fi := range handles {
@@ -322,80 +291,64 @@ func validateDelegate(opts DelegateOptions) error {
 	return nil
 }
 
+// delegateResult is a cell's result: the write phase's, or the verifying
+// read-back's failure.
+func delegateResult(opts DelegateOptions, env *Env, pr PhaseResult, servers, files int, reqSize int64) string {
+	if !pr.Failed && opts.Verify {
+		if err := delegateVerify(opts, env, servers, files, reqSize); err != nil {
+			return fmt.Sprintf("verify: %v", err)
+		}
+	}
+	return pr.Result()
+}
+
+// serverCounters renders the staged and runs cells, which pass-through
+// cells (no server ranks) do not have.
+func serverCounters(servers int, agg delegateAgg) (staged, runs any) {
+	if servers == 0 {
+		return "-", "-"
+	}
+	return agg.staged, agg.batchedRuns
+}
+
 // Delegate runs the full sweep: every (servers, files, request size)
 // cell in a fresh environment, write phase plus verified read-back.
-func Delegate(opts DelegateOptions) (stats.Table, *DelegateReport, error) {
+func Delegate(opts DelegateOptions) (stats.Table, []DelegatePoint, error) {
 	if err := validateDelegate(opts); err != nil {
 		return stats.Table{}, nil, err
-	}
-	report := &DelegateReport{
-		Clients:       opts.Clients,
-		SegsPerClient: opts.SegsPerClient,
-		SegSize:       opts.SegSize * opts.Scale,
-		QueueDepth:    opts.QueueDepth,
-		Scale:         opts.Scale,
 	}
 	t := stats.Table{
 		Title: fmt.Sprintf("I/O delegation: strided writes, %d clients, %d B simulated segments",
 			opts.Clients, opts.SegSize*opts.Scale),
 		Headers: []string{"servers", "files", "req-size", "time", "MB/s",
 			"write-reqs", "staged", "runs", "fs-writes", "stalls", "result"},
+		// Whether a credit grant beats the next write is a scheduling fact.
+		Host:   []string{"time", "MB/s", "stalls"},
+		Params: opts,
 	}
+	var points []DelegatePoint
 	for _, servers := range opts.Servers {
 		for _, files := range opts.Files {
 			for _, reqSize := range opts.ReqSizes {
 				env, err := NewEnv(opts.Scale)
 				if err != nil {
-					return t, report, err
+					return t, points, err
 				}
 				pr, agg := delegateWrite(opts, env, servers, files, reqSize)
-				result := "ok"
-				if pr.Failed {
-					result = pr.FailReason
-				} else if opts.Verify {
-					if err := delegateVerify(opts, env, servers, files, reqSize); err != nil {
-						result = fmt.Sprintf("verify: %v", err)
-					}
-				}
-				staged, runs := fmt.Sprintf("%d", agg.staged), fmt.Sprintf("%d", agg.batchedRuns)
-				if servers == 0 {
-					staged, runs = "-", "-"
-				}
-				t.AddRow(
-					fmt.Sprintf("%d", servers),
-					fmt.Sprintf("%d", files),
-					fmt.Sprintf("%d", reqSize*opts.Scale),
-					pr.Time.String(),
-					fmt.Sprintf("%.1f", pr.MBs),
-					fmt.Sprintf("%d", agg.writeReqs),
-					staged,
-					runs,
-					fmt.Sprintf("%d", pr.FS.Writes),
-					fmt.Sprintf("%d", agg.creditStalls),
-					result,
-				)
-				report.Points = append(report.Points, DelegatePoint{
-					Servers:       servers,
-					Files:         files,
-					ReqSize:       reqSize * opts.Scale,
-					Procs:         opts.Clients + servers,
-					VirtualTimeNs: int64(pr.Time),
-					MBs:           pr.MBs,
-					WriteReqs:     agg.writeReqs,
-					CreditStalls:  agg.creditStalls,
-					Staged:        agg.staged,
-					BatchedRuns:   agg.batchedRuns,
-					FSWrites:      pr.FS.Writes,
-					Result:        result,
-				})
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("delegate srv=%d files=%d req=%d: %v fs-writes=%d (%s)",
-						servers, files, reqSize*opts.Scale, pr.Time, pr.FS.Writes, result))
-				}
+				result := delegateResult(opts, env, pr, servers, files, reqSize)
+				staged, runs := serverCounters(servers, agg)
+				t.AddRow(servers, files, reqSize*opts.Scale, pr.Time, stats.FmtMBs(pr.MBs), agg.writeReqs,
+					staged, runs, pr.FS.Writes, agg.creditStalls, result)
+				points = append(points, DelegatePoint{Servers: servers, Files: files, ReqSize: reqSize * opts.Scale,
+					Procs: opts.Clients + servers, VirtualTimeNs: int64(pr.Time), MBs: pr.MBs,
+					WriteReqs: agg.writeReqs, CreditStalls: agg.creditStalls, Staged: agg.staged,
+					BatchedRuns: agg.batchedRuns, FSWrites: pr.FS.Writes, Result: result})
+				progressf(opts.Progress, "delegate srv=%d files=%d req=%d: %v fs-writes=%d (%s)",
+					servers, files, reqSize*opts.Scale, pr.Time, pr.FS.Writes, result)
 			}
 		}
 	}
-	return t, report, nil
+	return t, points, nil
 }
 
 // DelegateChaos runs a reduced sweep under deterministic fault injection
@@ -410,54 +363,25 @@ func DelegateChaos(opts DelegateOptions, seed int64) (stats.Table, error) {
 	if err := validateDelegate(opts); err != nil {
 		return stats.Table{}, err
 	}
-	t := stats.Table{
-		Title: fmt.Sprintf("I/O delegation chaos: %d clients, seed %d (counts are seed-deterministic)",
-			opts.Clients, seed),
-		Headers: []string{"servers", "files", "injected", "retries",
-			"write-reqs", "staged", "runs", "fs-writes", "result"},
-	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
+	t := newChaosTable("delegate", fmt.Sprintf("I/O delegation chaos: %d clients, seed %d (counts are seed-deterministic)",
+		opts.Clients, seed), seed, opts.Progress, opts, []string{"servers", "files"},
+		[]string{"retries", "write-reqs", "staged", "runs", "fs-writes"})
 	reqSize := opts.ReqSizes[0]
-	cells := []struct{ servers, files int }{{0, 1}, {1, 1}, {2, 2}}
-	for _, c := range cells {
-		inj := chaosBase.ChaosInjector(0.01)
-		env, err := NewChaosEnv(opts.Scale, inj)
+	for _, c := range []struct{ servers, files int }{{0, 1}, {1, 1}, {2, 2}} {
+		err := t.cell(opts.Scale, 0, []any{c.servers, c.files}, func(env *Env) (int64, []any, string, error) {
+			pr, agg := delegateWrite(opts, env, c.servers, c.files, reqSize)
+			// Snapshot before the verifying read-back: pass-through clients
+			// demand-populate shared segments, so which rank populates what —
+			// and hence the read phase's fault rolls — is a scheduling fact.
+			// The write path's rolls are operation-keyed.
+			injected := env.Faults.TotalInjected()
+			staged, runs := serverCounters(c.servers, agg)
+			counters := []any{agg.retries, agg.writeReqs, staged, runs, pr.FS.Writes}
+			return injected, counters, delegateResult(opts, env, pr, c.servers, c.files, reqSize), nil
+		})
 		if err != nil {
-			return t, err
-		}
-		pr, agg := delegateWrite(opts, env, c.servers, c.files, reqSize)
-		// Snapshot before the verifying read-back: pass-through clients
-		// demand-populate shared segments, so which rank populates what —
-		// and hence the read phase's fault rolls — is a scheduling fact.
-		// The write path's rolls are operation-keyed.
-		injected := inj.TotalInjected()
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		} else if opts.Verify {
-			if err := delegateVerify(opts, env, c.servers, c.files, reqSize); err != nil {
-				result = fmt.Sprintf("verify: %v", err)
-			}
-		}
-		staged, runs := fmt.Sprintf("%d", agg.staged), fmt.Sprintf("%d", agg.batchedRuns)
-		if c.servers == 0 {
-			staged, runs = "-", "-"
-		}
-		t.AddRow(
-			fmt.Sprintf("%d", c.servers),
-			fmt.Sprintf("%d", c.files),
-			fmt.Sprintf("%d", injected),
-			fmt.Sprintf("%d", agg.retries),
-			fmt.Sprintf("%d", agg.writeReqs),
-			staged,
-			runs,
-			fmt.Sprintf("%d", pr.FS.Writes),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("delegate chaos srv=%d files=%d: %s", c.servers, c.files, result))
+			return t.Table, err
 		}
 	}
-	return t, nil
+	return t.Table, nil
 }

@@ -22,7 +22,7 @@ func smallDelegateOpts() DelegateOptions {
 
 func TestDelegateSweepSmall(t *testing.T) {
 	opts := smallDelegateOpts()
-	_, report, err := Delegate(opts)
+	_, points, err := Delegate(opts)
 	if err != nil {
 		t.Fatalf("Delegate: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestDelegateSweepSmall(t *testing.T) {
 		req            int64
 	}
 	byKey := map[key]DelegatePoint{}
-	for _, p := range report.Points {
+	for _, p := range points {
 		if p.Result != "ok" {
 			t.Errorf("point %+v: result %q", p, p.Result)
 		}

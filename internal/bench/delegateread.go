@@ -37,6 +37,7 @@ import (
 
 	"github.com/tcio/tcio/internal/delegate"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
@@ -78,7 +79,7 @@ type DelegateReadOptions struct {
 	// Verify checks every byte of the final pass against the generator.
 	Verify bool
 	// Progress receives one line per completed cell.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultDelegateRead sweeps disarmed vs armed cache, private vs shared
@@ -102,21 +103,21 @@ func DefaultDelegateRead() DelegateReadOptions {
 }
 
 // DelegateReadPoint is one cell's result. Sizes are simulated bytes;
-// the Ns columns are virtual nanoseconds and, being scheduling-
-// sensitive at the margin, are excluded from CI's determinism diff.
+// the Ns fields are virtual nanoseconds and, being scheduling-sensitive at
+// the margin, host facts of the table.
 type DelegateReadPoint struct {
-	Pattern     string  `json:"pattern"`
-	CacheBlocks int     `json:"cache_blocks"`
-	Collective  bool    `json:"collective"`
-	ColdNs      int64   `json:"cold_ns"`
-	HotNs       int64   `json:"hot_ns"`
-	Speedup     float64 `json:"speedup"`
-	ReadReqs    int64   `json:"read_reqs"`
-	FSReadsCold int64   `json:"fs_reads_cold"`
-	FSReadsHot  int64   `json:"fs_reads_hot"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	Result      string  `json:"result"`
+	Pattern     string
+	CacheBlocks int
+	Collective  bool
+	ColdNs      int64
+	HotNs       int64
+	Speedup     float64
+	ReadReqs    int64
+	FSReadsCold int64
+	FSReadsHot  int64
+	CacheHits   int64
+	CacheMisses int64
+	Result      string
 }
 
 func delegateReadFileBytes(opts DelegateReadOptions) int64 {
@@ -186,11 +187,7 @@ func delegateReadRun(opts DelegateReadOptions, pattern string, cacheBlks int,
 	col := &delegate.Collector{}
 	cfg.Collect = col
 	var mu sync.Mutex
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   opts.Clients + opts.Servers,
-		Machine: env.Machine,
-		FS:      env.FS,
-	}, func(c *mpi.Comm) error {
+	rep, err := mpi.Run(env.world(opts.Clients+opts.Servers, false), func(c *mpi.Comm) error {
 		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
 			w, err := tr.Open("delegate-read.dat", tcio.WriteMode)
 			if err != nil {
@@ -284,6 +281,8 @@ func DelegateRead(opts DelegateReadOptions) (stats.Table, []DelegateReadPoint, e
 			opts.Clients, opts.Servers, opts.ReqSize*opts.Scale, opts.ReadQuantum*opts.Scale),
 		Headers: []string{"pattern", "cache", "coll", "cold", "hot", "speedup",
 			"read-reqs", "fs-cold", "fs-hot", "hits", "misses", "result"},
+		Host:   []string{"cold", "hot", "speedup"},
+		Params: opts,
 	}
 	var points []DelegateReadPoint
 	for _, pattern := range opts.Patterns {
@@ -317,40 +316,14 @@ func DelegateRead(opts DelegateReadOptions) (stats.Table, []DelegateReadPoint, e
 					pt.CacheHits = hot.hits
 					pt.CacheMisses = hot.misses
 				}
-				t.AddRow(
-					pt.Pattern,
-					fmt.Sprintf("%d", pt.CacheBlocks),
-					fmt.Sprintf("%v", pt.Collective),
-					fmtNs(pt.ColdNs),
-					fmtNs(pt.HotNs),
-					fmt.Sprintf("%.1fx", pt.Speedup),
-					fmt.Sprintf("%d", pt.ReadReqs),
-					fmt.Sprintf("%d", pt.FSReadsCold),
-					fmt.Sprintf("%d", pt.FSReadsHot),
-					fmt.Sprintf("%d", pt.CacheHits),
-					fmt.Sprintf("%d", pt.CacheMisses),
-					pt.Result,
-				)
+				coldT, hotT := simtime.Duration(pt.ColdNs), simtime.Duration(pt.HotNs)
+				t.AddRow(pt.Pattern, pt.CacheBlocks, pt.Collective, coldT, hotT, fmt.Sprintf("%.1fx", pt.Speedup),
+					pt.ReadReqs, pt.FSReadsCold, pt.FSReadsHot, pt.CacheHits, pt.CacheMisses, pt.Result)
 				points = append(points, pt)
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("delegate-read pat=%s cache=%d coll=%v: cold=%s hot=%s (%.1fx) fs=%d/%d (%s)",
-						pattern, cacheBlks, collective, fmtNs(pt.ColdNs), fmtNs(pt.HotNs),
-						pt.Speedup, pt.FSReadsCold, pt.FSReadsHot, pt.Result))
-				}
+				progressf(opts.Progress, "delegate-read pat=%s cache=%d coll=%v: cold=%v hot=%v (%.1fx) fs=%d/%d (%s)",
+					pattern, cacheBlks, collective, coldT, hotT, pt.Speedup, pt.FSReadsCold, pt.FSReadsHot, pt.Result)
 			}
 		}
 	}
 	return t, points, nil
-}
-
-// fmtNs renders a virtual-nanosecond count compactly.
-func fmtNs(ns int64) string {
-	switch {
-	case ns >= 1_000_000:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1_000:
-		return fmt.Sprintf("%.1fus", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"github.com/tcio/tcio/internal/datatype"
-	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/stats"
 )
 
@@ -34,7 +33,7 @@ type DrainSweepOptions struct {
 	// Verify makes readers check every byte against the generator.
 	Verify bool
 	// Progress receives one line per completed run.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultDrainSweep sweeps 1/2/4/8 workers over a 7-way striped file with
@@ -66,21 +65,18 @@ func DrainSweep(opts DrainSweepOptions) (stats.Table, error) {
 			opts.Procs, opts.StripeCount),
 		Headers: []string{"drain-workers", "write-time", "write-MB/s", "read-time",
 			"read-MB/s", "fs-writes", "result"},
+		Host:   []string{"write-time", "write-MB/s", "read-time", "read-MB/s"},
+		Params: opts,
 	}
-	types := []datatype.Type{datatype.Int, datatype.Double}
 	for _, workers := range opts.Workers {
-		scale := int64(opts.LenSim / opts.LenReal)
-		env, err := NewEnv(scale)
+		env, err := newEnv(int64(opts.LenSim/opts.LenReal), opts.StripeCount, nil)
 		if err != nil {
 			return t, err
 		}
-		fscfg := env.FS.Config()
-		fscfg.StripeCount = opts.StripeCount
-		env.FS = pfs.New(fscfg)
 		cfg := SyntheticConfig{
 			Method:       MethodTCIO,
 			Procs:        opts.Procs,
-			TypeArray:    types,
+			TypeArray:    []datatype.Type{datatype.Int, datatype.Double},
 			LenArray:     opts.LenReal,
 			SizeAccess:   1,
 			Verify:       opts.Verify,
@@ -91,25 +87,14 @@ func DrainSweep(opts DrainSweepOptions) (stats.Table, error) {
 		if err != nil {
 			return t, err
 		}
-		result := "ok"
-		if res.Write.Failed {
-			result = res.Write.FailReason
-		} else if res.Read.Failed {
-			result = res.Read.FailReason
+		result := res.Write.Result()
+		if !res.Write.Failed {
+			result = res.Read.Result()
 		}
-		t.AddRow(
-			fmt.Sprintf("%d", workers),
-			res.Write.Time.String(),
-			fmt.Sprintf("%.1f", res.Write.MBs),
-			res.Read.Time.String(),
-			fmt.Sprintf("%.1f", res.Read.MBs),
-			fmt.Sprintf("%d", res.Write.FS.Writes),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("drainsweep workers=%d: write %v read %v (%s)",
-				workers, res.Write.Time, res.Read.Time, result))
-		}
+		t.AddRow(workers, res.Write.Time, stats.FmtMBs(res.Write.MBs), res.Read.Time,
+			stats.FmtMBs(res.Read.MBs), res.Write.FS.Writes, result)
+		progressf(opts.Progress, "drainsweep workers=%d: write %v read %v (%s)",
+			workers, res.Write.Time, res.Read.Time, result)
 	}
 	return t, nil
 }

@@ -26,12 +26,13 @@ type SweepOptions struct {
 	LenReal int
 	// SizeAccess is SIZEaccess (paper: 1).
 	SizeAccess int
-	// Types is TYPEarray (paper: int, double).
-	Types []datatype.Type
+	// Types is TYPEarray (paper: int, double). Element types have no JSON
+	// form; Table II names them.
+	Types []datatype.Type `json:"-"`
 	// Verify turns on full byte verification during read-back.
 	Verify bool
 	// Progress, if non-nil, receives one line per completed point.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultSweep returns the paper's Table II configuration at a reduced
@@ -49,9 +50,10 @@ func DefaultSweep() SweepOptions {
 
 func (o SweepOptions) scale() int64 { return int64(o.LenSim / o.LenReal) }
 
-func (o SweepOptions) report(format string, args ...interface{}) {
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf(format, args...))
+// progressf sends one formatted progress line to progress, if set.
+func progressf(progress func(string), format string, args ...any) {
+	if progress != nil {
+		progress(fmt.Sprintf(format, args...))
 	}
 }
 
@@ -69,10 +71,14 @@ func Fig5(opts SweepOptions) (write, read stats.Table, results []Result, err err
 	write = stats.Table{
 		Title:   "Figure 5 (left): write throughput vs processes (MBytes/sec)",
 		Headers: []string{"procs", "TCIO", "OCIO"},
+		Host:    []string{"TCIO", "OCIO"},
+		Params:  opts,
 	}
 	read = stats.Table{
 		Title:   "Figure 5 (right): read throughput vs processes (MBytes/sec)",
 		Headers: []string{"procs", "TCIO", "OCIO"},
+		Host:    []string{"TCIO", "OCIO"},
+		Params:  opts,
 	}
 	for _, p := range opts.Procs {
 		row := map[Method]Result{}
@@ -96,7 +102,7 @@ func Fig5(opts SweepOptions) (write, read stats.Table, results []Result, err err
 			}
 			row[m] = res
 			results = append(results, res)
-			opts.report("fig5 %v procs=%d write=%s read=%s", m, p,
+			progressf(opts.Progress, "fig5 %v procs=%d write=%s read=%s", m, p,
 				phaseCell(res.Write), phaseCell(res.Read))
 		}
 		write.AddRow(fmt.Sprint(p), phaseCell(row[MethodTCIO].Write), phaseCell(row[MethodOCIO].Write))
@@ -117,9 +123,9 @@ type FileSizeSweepOptions struct {
 	LenReal int
 	// SizeAccess, Types, Verify, Progress: as in SweepOptions.
 	SizeAccess int
-	Types      []datatype.Type
+	Types      []datatype.Type `json:"-"`
 	Verify     bool
-	Progress   func(string)
+	Progress   func(string) `json:"-"`
 }
 
 // DefaultFileSizeSweep returns the paper's Fig. 6/7 configuration.
@@ -141,10 +147,14 @@ func Fig6And7(opts FileSizeSweepOptions) (write, read stats.Table, results []Res
 	write = stats.Table{
 		Title:   "Figure 6: write throughput vs file size, 64 processes (MBytes/sec)",
 		Headers: []string{"file size", "TCIO", "OCIO"},
+		Host:    []string{"TCIO", "OCIO"},
+		Params:  opts,
 	}
 	read = stats.Table{
 		Title:   "Figure 7: read throughput vs file size, 64 processes (MBytes/sec)",
 		Headers: []string{"file size", "TCIO", "OCIO"},
+		Host:    []string{"TCIO", "OCIO"},
+		Params:  opts,
 	}
 	for _, lenSim := range opts.LenSims {
 		row := map[Method]Result{}
@@ -171,10 +181,8 @@ func Fig6And7(opts FileSizeSweepOptions) (write, read stats.Table, results []Res
 			}
 			row[m] = res
 			results = append(results, res)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("fig6/7 %v size=%s write=%s read=%s",
-					m, stats.FmtBytes(fileSim), phaseCell(res.Write), phaseCell(res.Read)))
-			}
+			progressf(opts.Progress, "fig6/7 %v size=%s write=%s read=%s",
+				m, stats.FmtBytes(fileSim), phaseCell(res.Write), phaseCell(res.Read))
 		}
 		label := stats.FmtBytes(fileSim)
 		write.AddRow(label, phaseCell(row[MethodTCIO].Write), phaseCell(row[MethodOCIO].Write))
@@ -201,7 +209,7 @@ type ARTOptions struct {
 	// points whose simulated runtime exceeds it are reported as such.
 	VanillaCutoff simtime.Duration
 	// Progress, if non-nil, receives one line per completed point.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultART returns the paper's §V.C configuration at workstation scale.
@@ -254,7 +262,7 @@ func runART(opts ARTOptions, lib art.Library, procs int) (ARTResult, error) {
 	}
 
 	// Dump phase.
-	rep, err := mpi.Run(mpi.Config{Procs: procs, Machine: env.Machine, FS: env.FS}, func(c *mpi.Comm) error {
+	rep, err := mpi.Run(env.world(procs, false), func(c *mpi.Comm) error {
 		return art.Dump(c, lib, name, mkTrees(c), opts.Trees, 0)
 	})
 	if err != nil {
@@ -267,7 +275,7 @@ func runART(opts ARTOptions, lib art.Library, procs int) (ARTResult, error) {
 
 	// Restart phase: read back and verify every tree.
 	env.FS.Reset()
-	rep, err = mpi.Run(mpi.Config{Procs: procs, Machine: env.Machine, FS: env.FS}, func(c *mpi.Comm) error {
+	rep, err = mpi.Run(env.world(procs, false), func(c *mpi.Comm) error {
 		want := mkTrees(c)
 		got, err := art.Restore(c, lib, name)
 		if err != nil {
@@ -309,10 +317,14 @@ func Fig9And10(opts ARTOptions) (write, read stats.Table, results []ARTResult, e
 	write = stats.Table{
 		Title:   "Figure 9: ART write throughput vs processes (MBytes/sec)",
 		Headers: []string{"procs", "TCIO", "MPI-IO"},
+		Host:    []string{"TCIO", "MPI-IO"},
+		Params:  opts,
 	}
 	read = stats.Table{
 		Title:   "Figure 10: ART read throughput vs processes (MBytes/sec)",
 		Headers: []string{"procs", "TCIO", "MPI-IO"},
+		Host:    []string{"TCIO", "MPI-IO"},
+		Params:  opts,
 	}
 	for _, p := range opts.Procs {
 		row := map[art.Library]ARTResult{}
@@ -323,10 +335,8 @@ func Fig9And10(opts ARTOptions) (write, read stats.Table, results []ARTResult, e
 			}
 			row[lib] = r
 			results = append(results, r)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("fig9/10 %v procs=%d write=%.1f MB/s read=%.1f MB/s",
-					lib, p, r.WriteMBs, r.ReadMBs))
-			}
+			progressf(opts.Progress, "fig9/10 %v procs=%d write=%.1f MB/s read=%.1f MB/s",
+				lib, p, r.WriteMBs, r.ReadMBs)
 		}
 		write.AddRow(fmt.Sprint(p),
 			artCell(row[art.LibTCIO], row[art.LibTCIO].WriteTime, row[art.LibTCIO].WriteMBs, 0),

@@ -39,7 +39,7 @@ type NodeAggOptions struct {
 	// Verify cross-checks the final file bytes against the generator.
 	Verify bool
 	// Progress receives one line per completed run.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultNodeAgg sweeps node widths 1/2/4/8 and two segment sizes over 16
@@ -57,31 +57,6 @@ func DefaultNodeAgg() NodeAggOptions {
 		Scale:       16,
 		Verify:      true,
 	}
-}
-
-// NodeAggPoint is one (cores, segment size, aggregation) setting's result.
-type NodeAggPoint struct {
-	CoresPerNode  int     `json:"cores_per_node"`
-	SegSize       int64   `json:"seg_size"` // simulated bytes
-	Aggregation   bool    `json:"node_aggregation"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	Messages      int64   `json:"messages"`
-	LocalMsgs     int64   `json:"local_messages"`
-	InterNodeMsgs int64   `json:"inter_node_messages"`
-	NodeCombines  int64   `json:"node_combines"`
-	PutsSaved     int64   `json:"inter_node_puts_saved"`
-	FSWrites      int64   `json:"fs_writes"`
-	Result        string  `json:"result"`
-}
-
-// NodeAggReport is the machine-readable result of one sweep
-// (tciobench -nodeagg -json).
-type NodeAggReport struct {
-	Procs       int            `json:"procs"`
-	SegsPerRank int            `json:"segs_per_rank"`
-	Scale       int64          `json:"scale"`
-	Points      []NodeAggPoint `json:"points"`
 }
 
 // nodeAggByte is the workload's deterministic content generator.
@@ -108,12 +83,7 @@ func nodeAggWrite(opts NodeAggOptions, env *Env, cores int, segSize int64, aggOn
 	}
 	var mu sync.Mutex
 	var agg tcio.Stats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   opts.Procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
+	ok := pr.record(mpi.Run(env.world(opts.Procs, false), func(c *mpi.Comm) error {
 		handle, err := tcio.Open(c, "nodeagg.dat", tcio.WriteMode, cfg)
 		if err != nil {
 			return err
@@ -137,18 +107,8 @@ func nodeAggWrite(opts NodeAggOptions, env *Env, cores int, segSize int64, aggOn
 		agg.FSWrites += st.FSWrites
 		mu.Unlock()
 		return cerr
-	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
-	if opts.Verify {
+	}))
+	if ok && opts.Verify {
 		got := env.FS.Open("nodeagg.dat").Snapshot()
 		want := make([]byte, fileBytes)
 		for off := range want {
@@ -183,64 +143,35 @@ func validateNodeAgg(opts NodeAggOptions) error {
 // NodeAgg runs the full sweep: every (cores, segment size) cell with
 // aggregation off and on, tabulating inter-node message counts and the
 // end-to-end virtual time side by side.
-func NodeAgg(opts NodeAggOptions) (stats.Table, *NodeAggReport, error) {
+func NodeAgg(opts NodeAggOptions) (stats.Table, error) {
 	if err := validateNodeAgg(opts); err != nil {
-		return stats.Table{}, nil, err
+		return stats.Table{}, err
 	}
 	t := stats.Table{
 		Title: fmt.Sprintf("Node aggregation: granule-interleaved write, %d processes, %d segments/rank",
 			opts.Procs, opts.SegsPerRank),
 		Headers: []string{"cores/node", "seg-size", "nodeagg", "time", "MB/s",
-			"inter-node-msgs", "local-msgs", "combines", "puts-saved", "result"},
+			"inter-node-msgs", "local-msgs", "combines", "puts-saved", "fs-writes", "result"},
+		Host:   []string{"time", "MB/s"},
+		Params: opts,
 	}
-	report := &NodeAggReport{Procs: opts.Procs, SegsPerRank: opts.SegsPerRank, Scale: opts.Scale}
 	for _, cores := range opts.Cores {
 		for _, segSize := range opts.SegSizes {
 			for _, aggOn := range []bool{false, true} {
 				env, err := NewEnv(opts.Scale)
 				if err != nil {
-					return t, report, err
+					return t, err
 				}
 				pr, st := nodeAggWrite(opts, env, cores, segSize, aggOn)
-				result := "ok"
-				if pr.Failed {
-					result = pr.FailReason
-				}
 				inter := pr.Net.Messages - pr.Net.LocalMessages
-				t.AddRow(
-					fmt.Sprintf("%d", cores),
-					fmt.Sprintf("%d", segSize*opts.Scale),
-					fmt.Sprintf("%v", aggOn),
-					pr.Time.String(),
-					fmt.Sprintf("%.1f", pr.MBs),
-					fmt.Sprintf("%d", inter),
-					fmt.Sprintf("%d", pr.Net.LocalMessages),
-					fmt.Sprintf("%d", st.NodeCombines),
-					fmt.Sprintf("%d", st.InterNodePutsSaved),
-					result,
-				)
-				report.Points = append(report.Points, NodeAggPoint{
-					CoresPerNode:  cores,
-					SegSize:       segSize * opts.Scale,
-					Aggregation:   aggOn,
-					VirtualTimeNs: int64(pr.Time),
-					MBs:           pr.MBs,
-					Messages:      pr.Net.Messages,
-					LocalMsgs:     pr.Net.LocalMessages,
-					InterNodeMsgs: inter,
-					NodeCombines:  st.NodeCombines,
-					PutsSaved:     st.InterNodePutsSaved,
-					FSWrites:      pr.FS.Writes,
-					Result:        result,
-				})
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("nodeagg cores=%d seg=%d agg=%v: %v inter-node=%d (%s)",
-						cores, segSize*opts.Scale, aggOn, pr.Time, inter, result))
-				}
+				t.AddRow(cores, segSize*opts.Scale, aggOn, pr.Time, stats.FmtMBs(pr.MBs), inter,
+					pr.Net.LocalMessages, st.NodeCombines, st.InterNodePutsSaved, pr.FS.Writes, pr.Result())
+				progressf(opts.Progress, "nodeagg cores=%d seg=%d agg=%v: %v inter-node=%d (%s)",
+					cores, segSize*opts.Scale, aggOn, pr.Time, inter, pr.Result())
 			}
 		}
 	}
-	return t, report, nil
+	return t, nil
 }
 
 // NodeAggChaos runs a reduced sweep under deterministic fault injection and
@@ -255,43 +186,20 @@ func NodeAggChaos(opts NodeAggOptions, seed int64) (stats.Table, error) {
 	if err := validateNodeAgg(opts); err != nil {
 		return stats.Table{}, err
 	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Node aggregation chaos: %d processes, seed %d (counts are seed-deterministic)",
-			opts.Procs, seed),
-		Headers: []string{"cores/node", "nodeagg", "injected", "retries", "fs-writes",
-			"msgs", "local-msgs", "combines", "puts-saved", "result"},
-	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
-	segSize := opts.SegSizes[0]
+	t := newChaosTable("nodeagg", fmt.Sprintf("Node aggregation chaos: %d processes, seed %d (counts are seed-deterministic)",
+		opts.Procs, seed), seed, opts.Progress, opts, []string{"cores/node", "nodeagg"},
+		[]string{"retries", "fs-writes", "msgs", "local-msgs", "combines", "puts-saved"})
 	for _, cores := range []int{1, opts.Cores[len(opts.Cores)-1]} {
 		for _, aggOn := range []bool{false, true} {
-			inj := chaosBase.ChaosInjector(0.01)
-			env, err := NewChaosEnv(opts.Scale, inj)
+			err := t.cell(opts.Scale, 0, []any{cores, aggOn}, func(env *Env) (int64, []any, string, error) {
+				pr, st := nodeAggWrite(opts, env, cores, opts.SegSizes[0], aggOn)
+				return env.Faults.TotalInjected(), []any{st.Retries, pr.FS.Writes, pr.Net.Messages,
+					pr.Net.LocalMessages, st.NodeCombines, st.InterNodePutsSaved}, pr.Result(), nil
+			})
 			if err != nil {
-				return t, err
-			}
-			pr, st := nodeAggWrite(opts, env, cores, segSize, aggOn)
-			result := "ok"
-			if pr.Failed {
-				result = pr.FailReason
-			}
-			t.AddRow(
-				fmt.Sprintf("%d", cores),
-				fmt.Sprintf("%v", aggOn),
-				fmt.Sprintf("%d", inj.TotalInjected()),
-				fmt.Sprintf("%d", st.Retries),
-				fmt.Sprintf("%d", pr.FS.Writes),
-				fmt.Sprintf("%d", pr.Net.Messages),
-				fmt.Sprintf("%d", pr.Net.LocalMessages),
-				fmt.Sprintf("%d", st.NodeCombines),
-				fmt.Sprintf("%d", st.InterNodePutsSaved),
-				result,
-			)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("nodeagg chaos cores=%d agg=%v: %s", cores, aggOn, result))
+				return t.Table, err
 			}
 		}
 	}
-	return t, nil
+	return t.Table, nil
 }

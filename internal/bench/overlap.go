@@ -17,7 +17,6 @@ import (
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
@@ -43,7 +42,7 @@ type OverlapOptions struct {
 	// against the workload's generator.
 	Verify bool
 	// Progress receives one line per completed run.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultOverlap sweeps write-behind thresholds 0/0.5/1 and prefetch
@@ -62,43 +61,30 @@ func DefaultOverlap() OverlapOptions {
 	}
 }
 
-// OverlapWritePoint is one write-behind setting's result, for the JSON
-// perf-trajectory artifact.
+// OverlapWritePoint is one write-behind setting's result.
 type OverlapWritePoint struct {
-	Threshold      float64 `json:"write_behind_threshold"`
-	VirtualTimeNs  int64   `json:"virtual_time_ns"`
-	MBs            float64 `json:"mbs"`
-	EagerDrains    int64   `json:"eager_drains"`
-	EagerWrites    int64   `json:"eager_write_requests"`
-	FlushResidue   int64   `json:"flush_residue_requests"`
-	OverlapSavedNs int64   `json:"overlap_saved_ns"`
-	FSWrites       int64   `json:"fs_writes"`
-	Retries        int64   `json:"fs_retries"`
-	Result         string  `json:"result"`
+	Threshold      float64
+	VirtualTimeNs  int64
+	MBs            float64
+	EagerDrains    int64
+	EagerWrites    int64
+	FlushResidue   int64
+	OverlapSavedNs int64
+	FSWrites       int64
+	Retries        int64
+	Result         string
 }
 
 // OverlapReadPoint is one prefetch setting's result.
 type OverlapReadPoint struct {
-	Prefetch      int     `json:"prefetch_segments"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	Populations   int64   `json:"populations"`
-	PrefetchHits  int64   `json:"prefetch_hits"`
-	FSReads       int64   `json:"fs_reads"`
-	Retries       int64   `json:"fs_retries"`
-	Result        string  `json:"result"`
-}
-
-// OverlapReport is the machine-readable result of one overlap sweep
-// (tciobench -json).
-type OverlapReport struct {
-	Procs       int                 `json:"procs"`
-	StripeCount int                 `json:"stripe_count"`
-	Workers     int                 `json:"drain_workers"`
-	LenSim      int                 `json:"len_sim"`
-	LenReal     int                 `json:"len_real"`
-	Write       []OverlapWritePoint `json:"write"`
-	Read        []OverlapReadPoint  `json:"read"`
+	Prefetch      int
+	VirtualTimeNs int64
+	MBs           float64
+	Populations   int64
+	PrefetchHits  int64
+	FSReads       int64
+	Retries       int64
+	Result        string
 }
 
 // overlapPhases is the number of barrier-separated phases of the write
@@ -116,21 +102,6 @@ func overlapCfg(opts OverlapOptions, name string) SyntheticConfig {
 		FileName:     name,
 		DrainWorkers: opts.Workers,
 	}
-}
-
-// overlapEnv builds the sweep's striped environment.
-func overlapEnv(opts OverlapOptions) (*Env, error) {
-	scale := int64(opts.LenSim / opts.LenReal)
-	env, err := NewEnv(scale)
-	if err != nil {
-		return nil, err
-	}
-	if opts.StripeCount > 1 {
-		fscfg := env.FS.Config()
-		fscfg.StripeCount = opts.StripeCount
-		env.FS = pfs.New(fscfg)
-	}
-	return env, nil
 }
 
 // fileByte computes the expected byte at a file offset straight from the
@@ -195,13 +166,7 @@ func overlapWrite(env *Env, opts OverlapOptions, cfg SyntheticConfig, threshold 
 	env.FS.Reset()
 	pr := PhaseResult{Method: MethodTCIO, Procs: cfg.Procs, SimBytes: cfg.FileBytes() * env.Scale}
 	var agg overlapStats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:         cfg.Procs,
-		Machine:       env.Machine,
-		FS:            env.FS,
-		EnforceMemory: true,
-		Faults:        env.Faults,
-	}, func(c *mpi.Comm) error {
+	ok := pr.record(mpi.Run(env.world(cfg.Procs, true), func(c *mpi.Comm) error {
 		arrays := make([][]byte, len(cfg.TypeArray))
 		for j := range arrays {
 			a, err := makeArray(c, cfg, j)
@@ -251,18 +216,8 @@ func overlapWrite(env *Env, opts OverlapOptions, cfg SyntheticConfig, threshold 
 		cerr := handle.Close()
 		agg.add(handle.Stats())
 		return cerr
-	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg.sum
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
-	if opts.Verify {
+	}))
+	if ok && opts.Verify {
 		want := expectedImage(cfg)
 		got := env.FS.Open(cfg.FileName).Snapshot()
 		if int64(len(got)) < int64(len(want)) || !bytes.Equal(got[:len(want)], want) {
@@ -279,13 +234,7 @@ func overlapRead(env *Env, opts OverlapOptions, cfg SyntheticConfig, prefetch in
 	env.FS.Reset()
 	pr := PhaseResult{Method: MethodTCIO, Procs: cfg.Procs, SimBytes: cfg.FileBytes() * env.Scale}
 	var agg overlapStats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:         cfg.Procs,
-		Machine:       env.Machine,
-		FS:            env.FS,
-		EnforceMemory: true,
-		Faults:        env.Faults,
-	}, func(c *mpi.Comm) error {
+	pr.record(mpi.Run(env.world(cfg.Procs, true), func(c *mpi.Comm) error {
 		tc := tcioConfigFor(c, cfg)
 		tc.DemandPopulate = true
 		tc.PrefetchSegments = prefetch
@@ -323,130 +272,76 @@ func overlapRead(env *Env, opts OverlapOptions, cfg SyntheticConfig, prefetch in
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg.sum
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
+	}))
 	return pr, agg.sum
 }
 
 // Overlap runs the full sweep and tabulates both sides. The write table
 // compares write-behind thresholds against the synchronous baseline; the
 // read table compares prefetch windows against pure demand population.
-func Overlap(opts OverlapOptions) (stats.Table, stats.Table, *OverlapReport, error) {
+func Overlap(opts OverlapOptions) ([]stats.Table, []OverlapWritePoint, []OverlapReadPoint, error) {
 	if len(opts.Thresholds) == 0 {
 		opts.Thresholds = DefaultOverlap().Thresholds
 	}
 	if len(opts.Prefetch) == 0 {
 		opts.Prefetch = DefaultOverlap().Prefetch
 	}
+	scale := int64(opts.LenSim / opts.LenReal)
 	wt := stats.Table{
 		Title: fmt.Sprintf("Overlap: eager write-behind, %d processes, stripe over %d OSTs, %d drain workers",
 			opts.Procs, opts.StripeCount, opts.Workers),
 		Headers: []string{"wb-threshold", "write-time", "write-MB/s", "eager-drains",
-			"eager-writes", "residue-reqs", "overlap-saved", "fs-writes", "result"},
+			"eager-writes", "residue-reqs", "overlap-saved", "fs-writes", "fs-retries", "result"},
+		Host: []string{"write-time", "write-MB/s", "eager-drains", "eager-writes",
+			"residue-reqs", "overlap-saved", "fs-writes"},
+		Params: opts,
 	}
 	rt := stats.Table{
 		Title: fmt.Sprintf("Overlap: sequential read prefetch, %d processes, stripe over %d OSTs, %d drain workers",
 			opts.Procs, opts.StripeCount, opts.Workers),
 		Headers: []string{"prefetch-segs", "read-time", "read-MB/s", "populations",
-			"prefetch-hits", "fs-reads", "result"},
+			"prefetch-hits", "fs-reads", "fs-retries", "result"},
+		Host:   []string{"read-time", "read-MB/s"},
+		Params: opts,
 	}
-	report := &OverlapReport{
-		Procs:       opts.Procs,
-		StripeCount: opts.StripeCount,
-		Workers:     opts.Workers,
-		LenSim:      opts.LenSim,
-		LenReal:     opts.LenReal,
-	}
-
+	var writes []OverlapWritePoint
 	for _, th := range opts.Thresholds {
-		env, err := overlapEnv(opts)
+		env, err := newEnv(scale, opts.StripeCount, nil)
 		if err != nil {
-			return wt, rt, report, err
+			return nil, nil, nil, err
 		}
-		cfg := overlapCfg(opts, fmt.Sprintf("overlap-wb-%d", int(th*100)))
-		pr, st := overlapWrite(env, opts, cfg, th)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		wt.AddRow(
-			fmt.Sprintf("%.2f", th),
-			pr.Time.String(),
-			fmt.Sprintf("%.1f", pr.MBs),
-			fmt.Sprintf("%d", st.EagerDrains),
-			fmt.Sprintf("%d", st.EagerWrites),
-			fmt.Sprintf("%d", st.FlushResidue),
-			st.OverlapSaved.String(),
-			fmt.Sprintf("%d", pr.FS.Writes),
-			result,
-		)
-		report.Write = append(report.Write, OverlapWritePoint{
-			Threshold:      th,
-			VirtualTimeNs:  int64(pr.Time),
-			MBs:            pr.MBs,
-			EagerDrains:    st.EagerDrains,
-			EagerWrites:    st.EagerWrites,
-			FlushResidue:   st.FlushResidue,
-			OverlapSavedNs: int64(st.OverlapSaved),
-			FSWrites:       pr.FS.Writes,
-			Retries:        pr.FS.Retries,
-			Result:         result,
-		})
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap write threshold=%.2f: %v eager=%d residue=%d (%s)",
-				th, pr.Time, st.EagerDrains, st.FlushResidue, result))
-		}
+		pr, st := overlapWrite(env, opts, overlapCfg(opts, fmt.Sprintf("overlap-wb-%d", int(th*100))), th)
+		p := OverlapWritePoint{Threshold: th, VirtualTimeNs: int64(pr.Time), MBs: pr.MBs,
+			EagerDrains: st.EagerDrains, EagerWrites: st.EagerWrites, FlushResidue: st.FlushResidue,
+			OverlapSavedNs: int64(st.OverlapSaved), FSWrites: pr.FS.Writes, Retries: pr.FS.Retries,
+			Result: pr.Result()}
+		writes = append(writes, p)
+		wt.AddRow(fmt.Sprintf("%.2f", th), pr.Time, stats.FmtMBs(pr.MBs), p.EagerDrains, p.EagerWrites,
+			p.FlushResidue, st.OverlapSaved, p.FSWrites, p.Retries, p.Result)
+		progressf(opts.Progress, "overlap write threshold=%.2f: %v eager=%d residue=%d (%s)",
+			th, pr.Time, st.EagerDrains, st.FlushResidue, p.Result)
 	}
 
 	// One file for the read side, written with the synchronous baseline.
-	env, err := overlapEnv(opts)
+	env, err := newEnv(scale, opts.StripeCount, nil)
 	if err != nil {
-		return wt, rt, report, err
+		return nil, nil, nil, err
 	}
 	cfg := overlapCfg(opts, "overlap-read")
 	if pr, _ := overlapWrite(env, opts, cfg, 0); pr.Failed {
-		return wt, rt, report, fmt.Errorf("bench: overlap read-side write failed: %s", pr.FailReason)
+		return nil, nil, nil, fmt.Errorf("bench: overlap read-side write failed: %s", pr.FailReason)
 	}
+	var reads []OverlapReadPoint
 	for _, pf := range opts.Prefetch {
 		pr, st := overlapRead(env, opts, cfg, pf)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		rt.AddRow(
-			fmt.Sprintf("%d", pf),
-			pr.Time.String(),
-			fmt.Sprintf("%.1f", pr.MBs),
-			fmt.Sprintf("%d", st.Populations),
-			fmt.Sprintf("%d", st.PrefetchHits),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			result,
-		)
-		report.Read = append(report.Read, OverlapReadPoint{
-			Prefetch:      pf,
-			VirtualTimeNs: int64(pr.Time),
-			MBs:           pr.MBs,
-			Populations:   st.Populations,
-			PrefetchHits:  st.PrefetchHits,
-			FSReads:       pr.FS.Reads,
-			Retries:       pr.FS.Retries,
-			Result:        result,
-		})
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap read prefetch=%d: %v hits=%d (%s)",
-				pf, pr.Time, st.PrefetchHits, result))
-		}
+		p := OverlapReadPoint{Prefetch: pf, VirtualTimeNs: int64(pr.Time), MBs: pr.MBs,
+			Populations: st.Populations, PrefetchHits: st.PrefetchHits, FSReads: pr.FS.Reads,
+			Retries: pr.FS.Retries, Result: pr.Result()}
+		reads = append(reads, p)
+		rt.AddRow(pf, pr.Time, stats.FmtMBs(pr.MBs), p.Populations, p.PrefetchHits, p.FSReads, p.Retries, p.Result)
+		progressf(opts.Progress, "overlap read prefetch=%d: %v hits=%d (%s)", pf, pr.Time, st.PrefetchHits, p.Result)
 	}
-	return wt, rt, report, nil
+	return []stats.Table{wt, rt}, writes, reads, nil
 }
 
 // OverlapChaos runs the overlap settings under deterministic fault
@@ -458,87 +353,38 @@ func Overlap(opts OverlapOptions) (stats.Table, stats.Table, *OverlapReport, err
 // thresholds 0 and 1 — the two settings whose file system request identity
 // is provably bit-identical.
 func OverlapChaos(opts OverlapOptions, seed int64) (stats.Table, error) {
-	t := stats.Table{
-		Title: fmt.Sprintf("Overlap chaos: %d processes, seed %d (counts are seed-deterministic)",
-			opts.Procs, seed),
-		Headers: []string{"phase", "setting", "injected", "fs-retries", "fs-writes",
-			"fs-reads", "populations", "prefetch-hits", "alloc-retries", "result"},
+	t := newChaosTable("overlap", fmt.Sprintf("Overlap chaos: %d processes, seed %d (counts are seed-deterministic)",
+		opts.Procs, seed), seed, opts.Progress, opts, []string{"phase", "setting"},
+		[]string{"fs-retries", "fs-writes", "fs-reads", "populations", "prefetch-hits", "alloc-retries"})
+	scale := int64(opts.LenSim / opts.LenReal)
+	counters := func(pr PhaseResult, st tcio.Stats) []any {
+		return []any{pr.FS.Retries, pr.FS.Writes, pr.FS.Reads, st.Populations, st.PrefetchHits, pr.AllocRetries}
 	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
-	newEnv := func() (*Env, *OverlapOptions, error) {
-		o := opts
-		env, err := overlapEnv(o)
-		if err != nil {
-			return nil, nil, err
-		}
-		inj := chaosBase.ChaosInjector(0.01)
-		fscfg := env.FS.Config()
-		fscfg.Faults = inj
-		env.FS = pfs.New(fscfg)
-		env.Faults = inj
-		return env, &o, nil
-	}
-
 	for _, th := range []float64{0, 1} {
-		env, o, err := newEnv()
+		err := t.cell(scale, opts.StripeCount, []any{"write", fmt.Sprintf("wb-threshold=%.0f", th)},
+			func(env *Env) (int64, []any, string, error) {
+				cfg := overlapCfg(opts, fmt.Sprintf("overlap-chaos-wb-%d", int(th)))
+				pr, st := overlapWrite(env, opts, cfg, th)
+				return env.Faults.TotalInjected(), counters(pr, st), pr.Result(), nil
+			})
 		if err != nil {
-			return t, err
-		}
-		cfg := overlapCfg(*o, fmt.Sprintf("overlap-chaos-wb-%d", int(th)))
-		before := env.Faults.TotalInjected()
-		pr, st := overlapWrite(env, *o, cfg, th)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		t.AddRow(
-			"write",
-			fmt.Sprintf("wb-threshold=%.0f", th),
-			fmt.Sprintf("%d", env.Faults.TotalInjected()-before),
-			fmt.Sprintf("%d", pr.FS.Retries),
-			fmt.Sprintf("%d", pr.FS.Writes),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			fmt.Sprintf("%d", st.Populations),
-			fmt.Sprintf("%d", st.PrefetchHits),
-			fmt.Sprintf("%d", pr.AllocRetries),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap chaos write threshold=%.0f: %s", th, result))
+			return t.Table, err
 		}
 	}
-
 	for _, pf := range []int{0, 8} {
-		env, o, err := newEnv()
+		err := t.cell(scale, opts.StripeCount, []any{"read", fmt.Sprintf("prefetch=%d", pf)},
+			func(env *Env) (int64, []any, string, error) {
+				cfg := overlapCfg(opts, fmt.Sprintf("overlap-chaos-pf-%d", pf))
+				if pr, _ := overlapWrite(env, opts, cfg, 0); pr.Failed {
+					return 0, nil, "", fmt.Errorf("bench: overlap chaos read-side write failed: %s", pr.FailReason)
+				}
+				before := env.Faults.TotalInjected()
+				pr, st := overlapRead(env, opts, cfg, pf)
+				return env.Faults.TotalInjected() - before, counters(pr, st), pr.Result(), nil
+			})
 		if err != nil {
-			return t, err
-		}
-		cfg := overlapCfg(*o, fmt.Sprintf("overlap-chaos-pf-%d", pf))
-		if pr, _ := overlapWrite(env, *o, cfg, 0); pr.Failed {
-			return t, fmt.Errorf("bench: overlap chaos read-side write failed: %s", pr.FailReason)
-		}
-		before := env.Faults.TotalInjected()
-		pr, st := overlapRead(env, *o, cfg, pf)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		t.AddRow(
-			"read",
-			fmt.Sprintf("prefetch=%d", pf),
-			fmt.Sprintf("%d", env.Faults.TotalInjected()-before),
-			fmt.Sprintf("%d", pr.FS.Retries),
-			fmt.Sprintf("%d", pr.FS.Writes),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			fmt.Sprintf("%d", st.Populations),
-			fmt.Sprintf("%d", st.PrefetchHits),
-			fmt.Sprintf("%d", pr.AllocRetries),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap chaos read prefetch=%d: %s", pf, result))
+			return t.Table, err
 		}
 	}
-	return t, nil
+	return t.Table, nil
 }

@@ -19,24 +19,24 @@ func overlapTestOpts() OverlapOptions {
 
 func TestOverlapSweep(t *testing.T) {
 	opts := overlapTestOpts()
-	_, _, report, err := Overlap(opts)
+	_, writes, reads, err := Overlap(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Write) != 2 || len(report.Read) != 2 {
-		t.Fatalf("report has %d write / %d read points", len(report.Write), len(report.Read))
+	if len(writes) != 2 || len(reads) != 2 {
+		t.Fatalf("sweep has %d write / %d read points", len(writes), len(reads))
 	}
-	for _, p := range report.Write {
+	for _, p := range writes {
 		if p.Result != "ok" {
 			t.Fatalf("write threshold %v: %s", p.Threshold, p.Result)
 		}
 	}
-	for _, p := range report.Read {
+	for _, p := range reads {
 		if p.Result != "ok" {
 			t.Fatalf("read prefetch %d: %s", p.Prefetch, p.Result)
 		}
 	}
-	sync, eager := report.Write[0], report.Write[1]
+	sync, eager := writes[0], writes[1]
 	// Threshold 1 coalesces each segment exactly as the final drain would,
 	// so the request count must match the synchronous baseline...
 	if sync.FSWrites != eager.FSWrites {
@@ -53,7 +53,7 @@ func TestOverlapSweep(t *testing.T) {
 	if eager.EagerDrains == 0 {
 		t.Fatal("threshold 1 triggered no eager drains")
 	}
-	demand, prefetch := report.Read[0], report.Read[1]
+	demand, prefetch := reads[0], reads[1]
 	if demand.FSReads != prefetch.FSReads {
 		t.Fatalf("fs reads differ: demand %d, prefetch %d", demand.FSReads, prefetch.FSReads)
 	}

@@ -46,7 +46,7 @@ type ScaleOptions struct {
 	// timing facts; excluded from deterministic comparisons).
 	Profiles bool
 	// Progress receives one line per completed point.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultScale sweeps N in {64, 256, 1024, 4096} at GOMAXPROCS in
@@ -72,31 +72,23 @@ func DefaultScale() ScaleOptions {
 // profile fields are host-timing facts and vary run to run; the virtual
 // time, request counts, and trace length are seed-deterministic.
 type ScalePoint struct {
-	Procs      int `json:"procs"`
-	GoMaxProcs int `json:"gomaxprocs"`
+	Procs      int
+	GoMaxProcs int
 
 	// Host timing (nondeterministic).
-	WallNs      int64    `json:"wall_ns"`
-	NsPerOp     int64    `json:"ns_per_op"`
-	BytesPerOp  int64    `json:"b_per_op"`
-	AllocsPerOp int64    `json:"allocs_per_op"`
-	MutexTop    []string `json:"mutex_top,omitempty"`
-	BlockTop    []string `json:"block_top,omitempty"`
+	WallNs      int64
+	NsPerOp     int64
+	BytesPerOp  int64
+	AllocsPerOp int64
+	MutexTop    []string
+	BlockTop    []string
 
 	// Deterministic (diffed by the CI scale-smoke job).
-	VirtualNs   int64  `json:"virtual_ns"`
-	FSWrites    int64  `json:"fs_writes"`
-	FSReads     int64  `json:"fs_reads"`
-	TraceEvents int64  `json:"trace_events"`
-	Result      string `json:"result"`
-}
-
-// ScaleReport is the machine-readable result of one scale sweep
-// (results/BENCH_pr8.json).
-type ScaleReport struct {
-	PiecesPerRank int          `json:"pieces_per_rank"`
-	PieceBytes    int64        `json:"piece_bytes"`
-	Points        []ScalePoint `json:"points"`
+	VirtualNs   int64
+	FSWrites    int64
+	FSReads     int64
+	TraceEvents int64
+	Result      string
 }
 
 // scaleByte is the ground truth for piece i, byte b of rank r.
@@ -157,11 +149,7 @@ func runScalePoint(opts ScaleOptions, procs int) (ScalePoint, error) {
 	}
 	const name = "scale"
 	run := func(fn func(*mpi.Comm) error) (mpi.Report, error) {
-		return mpi.Run(mpi.Config{
-			Procs:   procs,
-			Machine: env.Machine,
-			FS:      env.FS,
-		}, fn)
+		return mpi.Run(env.world(procs, false), fn)
 	}
 
 	// Write phase: each rank writes its strided pieces, with a collective
@@ -285,7 +273,7 @@ func scaleRing(c *mpi.Comm, round int) error {
 
 // Scale runs the full sweep and tabulates it. Points run sequentially;
 // GOMAXPROCS is restored afterwards.
-func Scale(opts ScaleOptions) (stats.Table, *ScaleReport, error) {
+func Scale(opts ScaleOptions) (stats.Table, []ScalePoint, error) {
 	if len(opts.Procs) == 0 {
 		opts.Procs = DefaultScale().Procs
 	}
@@ -310,9 +298,11 @@ func Scale(opts ScaleOptions) (stats.Table, *ScaleReport, error) {
 		Title: fmt.Sprintf("Host scale: strided write+read, %d pieces x %d B per rank (wall-clock columns are host facts; virtual/count columns are deterministic)",
 			opts.PiecesPerRank, opts.PieceBytes),
 		Headers: []string{"procs", "gomaxprocs", "wall", "ns/op", "B/op", "allocs/op",
-			"virtual-time", "fs-writes", "fs-reads", "trace-events", "result"},
+			"virtual-time", "fs-writes", "fs-reads", "trace-events", "mutex-top", "block-top", "result"},
+		Host:   []string{"wall", "ns/op", "B/op", "allocs/op", "mutex-top", "block-top"},
+		Params: opts,
 	}
-	report := &ScaleReport{PiecesPerRank: opts.PiecesPerRank, PieceBytes: opts.PieceBytes}
+	var points []ScalePoint
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -336,7 +326,7 @@ func Scale(opts ScaleOptions) (stats.Table, *ScaleReport, error) {
 			wall := time.Since(start)
 			runtime.ReadMemStats(&after)
 			if err != nil {
-				return t, report, err
+				return t, points, err
 			}
 			pt.GoMaxProcs = g
 			pt.WallNs = wall.Nanoseconds()
@@ -347,27 +337,15 @@ func Scale(opts ScaleOptions) (stats.Table, *ScaleReport, error) {
 			if prof != nil {
 				pt.MutexTop, pt.BlockTop = prof.top(3)
 			}
-			report.Points = append(report.Points, pt)
-			t.AddRow(
-				fmt.Sprintf("%d", pt.Procs),
-				fmt.Sprintf("%d", pt.GoMaxProcs),
-				wall.Round(time.Millisecond).String(),
-				fmt.Sprintf("%d", pt.NsPerOp),
-				fmt.Sprintf("%d", pt.BytesPerOp),
-				fmt.Sprintf("%d", pt.AllocsPerOp),
-				fmt.Sprintf("%d", pt.VirtualNs),
-				fmt.Sprintf("%d", pt.FSWrites),
-				fmt.Sprintf("%d", pt.FSReads),
-				fmt.Sprintf("%d", pt.TraceEvents),
-				pt.Result,
-			)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("scale procs=%d gomaxprocs=%d: wall=%v ns/op=%d (%s)",
-					pt.Procs, g, wall.Round(time.Millisecond), pt.NsPerOp, pt.Result))
-			}
+			points = append(points, pt)
+			t.AddRow(pt.Procs, pt.GoMaxProcs, wall, pt.NsPerOp, pt.BytesPerOp, pt.AllocsPerOp, pt.VirtualNs,
+				pt.FSWrites, pt.FSReads, pt.TraceEvents, strings.Join(pt.MutexTop, "; "),
+				strings.Join(pt.BlockTop, "; "), pt.Result)
+			progressf(opts.Progress, "scale procs=%d gomaxprocs=%d: wall=%v ns/op=%d (%s)",
+				pt.Procs, g, wall.Round(time.Millisecond), pt.NsPerOp, pt.Result)
 		}
 	}
-	return t, report, nil
+	return t, points, nil
 }
 
 // profileDelta captures per-point mutex/block contention: profiles

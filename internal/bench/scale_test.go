@@ -23,7 +23,7 @@ func TestScaleDeterministicColumns(t *testing.T) {
 	}
 	// Across GOMAXPROCS: each rank count's deterministic cells agree.
 	byProcs := make(map[int]ScalePoint)
-	for _, pt := range first.Points {
+	for _, pt := range first {
 		if pt.Result != "ok" {
 			t.Fatalf("procs=%d gomaxprocs=%d: %s", pt.Procs, pt.GoMaxProcs, pt.Result)
 		}
@@ -44,8 +44,8 @@ func TestScaleDeterministicColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pt := range second.Points {
-		ref := first.Points[i]
+	for i, pt := range second {
+		ref := first[i]
 		if pt.VirtualNs != ref.VirtualNs || pt.FSWrites != ref.FSWrites ||
 			pt.FSReads != ref.FSReads || pt.TraceEvents != ref.TraceEvents || pt.Result != ref.Result {
 			t.Errorf("rerun procs=%d gomaxprocs=%d: deterministic columns changed: (%d %d %d %d %s) vs (%d %d %d %d %s)",
@@ -63,15 +63,16 @@ func TestScaleGeometryNormalized(t *testing.T) {
 	opts.Procs = []int{4}
 	opts.GoMaxProcs = []int{1}
 	opts.PiecesPerRank = 7 // not a divisor of the segment size
-	_, rep, err := Scale(opts)
+	tbl, points, err := Scale(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(rep.PiecesPerRank)*rep.PieceBytes != scaleSegSize {
+	norm := tbl.Params.(ScaleOptions)
+	if int64(norm.PiecesPerRank)*norm.PieceBytes != scaleSegSize {
 		t.Fatalf("normalized geometry %d x %d B does not fill one %d B segment",
-			rep.PiecesPerRank, rep.PieceBytes, scaleSegSize)
+			norm.PiecesPerRank, norm.PieceBytes, scaleSegSize)
 	}
-	for _, pt := range rep.Points {
+	for _, pt := range points {
 		if pt.Result != "ok" {
 			t.Fatalf("procs=%d: %s", pt.Procs, pt.Result)
 		}

@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
@@ -62,7 +63,7 @@ type SieveOptions struct {
 	// generator.
 	Verify bool
 	// Progress receives one line per completed run.
-	Progress func(string)
+	Progress func(string) `json:"-"`
 }
 
 // DefaultSieve sweeps hole densities 25/50/75% against four sieve budgets
@@ -84,29 +85,19 @@ func DefaultSieve() SieveOptions {
 
 // SievePoint is one setting's result. Sizes are simulated bytes.
 type SievePoint struct {
-	Workload      string  `json:"workload"` // "holes" or "interleave"
-	HolePct       int     `json:"hole_pct,omitempty"`
-	Granule       int64   `json:"granule,omitempty"`
-	SieveBuffer   int64   `json:"sieve_buffer"`
-	Collective    bool    `json:"collective_read"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	FSReads       int64   `json:"fs_reads"`
-	SieveReads    int64   `json:"sieve_reads"`
-	SieveWaste    int64   `json:"sieve_waste_bytes"`
-	Exchanges     int64   `json:"two_phase_exchanges"`
-	Populations   int64   `json:"populations"`
-	Result        string  `json:"result"`
-}
-
-// SieveReport is the machine-readable result of one sweep
-// (tciobench -sieve -json).
-type SieveReport struct {
-	Procs       int          `json:"procs"`
-	SegsPerRank int          `json:"segs_per_rank"`
-	SegSize     int64        `json:"seg_size"` // simulated bytes
-	Scale       int64        `json:"scale"`
-	Points      []SievePoint `json:"points"`
+	Workload      string // "holes" or "interleave"
+	HolePct       int
+	Granule       int64
+	SieveBuffer   int64
+	Collective    bool
+	VirtualTimeNs int64
+	MBs           float64
+	FSReads       int64
+	SieveReads    int64
+	SieveWaste    int64
+	Exchanges     int64
+	Populations   int64
+	Result        string
 }
 
 // sieveByte is the workload's deterministic content generator.
@@ -162,12 +153,7 @@ func interleaveRuns(opts SieveOptions, rank int, granule int64) []sieveRun {
 // environment: rank r writes its contiguous quarter in segment-size pieces.
 func sieveSeed(opts SieveOptions, env *Env, name string) error {
 	cfg := tcio.Config{SegmentSize: opts.SegSize, NumSegments: opts.SegsPerRank}
-	_, err := mpi.Run(mpi.Config{
-		Procs:   opts.Procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
+	_, err := mpi.Run(env.world(opts.Procs, false), func(c *mpi.Comm) error {
 		handle, err := tcio.Open(c, name, tcio.WriteMode, cfg)
 		if err != nil {
 			return err
@@ -210,12 +196,7 @@ func sieveRead(opts SieveOptions, env *Env, name string, runsFor func(rank int) 
 	}
 	var mu sync.Mutex
 	var agg tcio.Stats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   opts.Procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
+	pr.record(mpi.Run(env.world(opts.Procs, false), func(c *mpi.Comm) error {
 		handle, err := tcio.Open(c, name, tcio.ReadMode, cfg)
 		if err != nil {
 			return err
@@ -260,17 +241,7 @@ func sieveRead(opts SieveOptions, env *Env, name string, runsFor func(rank int) 
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
+	}))
 	return pr, agg
 }
 
@@ -311,127 +282,81 @@ func sieveBudgetLabel(opts SieveOptions, budget int64) string {
 
 // Sieve runs the full sweep: the holes workload over every (density,
 // budget) cell, then the interleave workload over every granule with the
-// two-phase collective read off and on.
-func Sieve(opts SieveOptions) (stats.Table, stats.Table, *SieveReport, error) {
+// two-phase collective read off and on. It returns the two tables and
+// every cell's point.
+func Sieve(opts SieveOptions) ([]stats.Table, []SievePoint, error) {
 	if err := validateSieve(opts); err != nil {
-		return stats.Table{}, stats.Table{}, nil, err
+		return nil, nil, err
 	}
-	report := &SieveReport{
-		Procs:       opts.Procs,
-		SegsPerRank: opts.SegsPerRank,
-		SegSize:     opts.SegSize * opts.Scale,
-		Scale:       opts.Scale,
+	var points []SievePoint
+	// measure seeds a fresh environment, runs one read setting and records
+	// its point.
+	measure := func(p SievePoint, runsFor func(rank int) []sieveRun, budget int64) (SievePoint, error) {
+		env, err := NewEnv(opts.Scale)
+		if err == nil {
+			err = sieveSeed(opts, env, "sieve.dat")
+		}
+		if err != nil {
+			return p, err
+		}
+		pr, st := sieveRead(opts, env, "sieve.dat", runsFor, budget, p.Collective)
+		p.SieveBuffer, p.VirtualTimeNs, p.MBs = budget*opts.Scale, int64(pr.Time), pr.MBs
+		p.FSReads, p.SieveReads, p.SieveWaste = pr.FS.Reads, st.SieveReads, st.SieveWasteBytes*opts.Scale
+		p.Exchanges, p.Populations, p.Result = st.TwoPhaseExchanges, st.Populations, pr.Result()
+		points = append(points, p)
+		return p, nil
 	}
 	holes := stats.Table{
 		Title: fmt.Sprintf("Data sieving: hole-y reads, %d processes, %d B simulated segments",
 			opts.Procs, opts.SegSize*opts.Scale),
 		Headers: []string{"holes%", "sieve-buf", "time", "MB/s", "fs-reads",
-			"sieve-reads", "waste-bytes", "populations", "result"},
+			"sieve-reads", "waste-bytes", "populations", "exchanges", "result"},
+		Host:   []string{"time", "MB/s"},
+		Params: opts,
 	}
 	for _, pct := range opts.Densities {
-		pct := pct
 		runsFor := func(rank int) []sieveRun { return holeRuns(opts, rank, pct) }
 		for _, budget := range opts.Budgets {
-			env, err := NewEnv(opts.Scale)
+			p, err := measure(SievePoint{Workload: "holes", HolePct: pct}, runsFor, budget)
 			if err != nil {
-				return holes, stats.Table{}, report, err
+				return nil, nil, err
 			}
-			if err := sieveSeed(opts, env, "sieve.dat"); err != nil {
-				return holes, stats.Table{}, report, err
-			}
-			pr, st := sieveRead(opts, env, "sieve.dat", runsFor, budget, false)
-			result := "ok"
-			if pr.Failed {
-				result = pr.FailReason
-			}
-			holes.AddRow(
-				fmt.Sprintf("%d", pct),
-				sieveBudgetLabel(opts, budget),
-				pr.Time.String(),
-				fmt.Sprintf("%.1f", pr.MBs),
-				fmt.Sprintf("%d", pr.FS.Reads),
-				fmt.Sprintf("%d", st.SieveReads),
-				fmt.Sprintf("%d", st.SieveWasteBytes*opts.Scale),
-				fmt.Sprintf("%d", st.Populations),
-				result,
-			)
-			report.Points = append(report.Points, SievePoint{
-				Workload:      "holes",
-				HolePct:       pct,
-				SieveBuffer:   budget * opts.Scale,
-				VirtualTimeNs: int64(pr.Time),
-				MBs:           pr.MBs,
-				FSReads:       pr.FS.Reads,
-				SieveReads:    st.SieveReads,
-				SieveWaste:    st.SieveWasteBytes * opts.Scale,
-				Exchanges:     st.TwoPhaseExchanges,
-				Populations:   st.Populations,
-				Result:        result,
-			})
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("sieve holes=%d%% buf=%s: %v fs-reads=%d (%s)",
-					pct, sieveBudgetLabel(opts, budget), pr.Time, pr.FS.Reads, result))
-			}
+			label := sieveBudgetLabel(opts, budget)
+			holes.AddRow(pct, label, simtime.Duration(p.VirtualTimeNs), stats.FmtMBs(p.MBs), p.FSReads,
+				p.SieveReads, p.SieveWaste, p.Populations, p.Exchanges, p.Result)
+			progressf(opts.Progress, "sieve holes=%d%% buf=%s: %v fs-reads=%d (%s)",
+				pct, label, simtime.Duration(p.VirtualTimeNs), p.FSReads, p.Result)
 		}
 	}
+	// Which rank populates which part of a shared segment is a scheduling
+	// fact in the independent interleave, so its read counters are too.
 	inter := stats.Table{
 		Title: fmt.Sprintf("Two-phase collective read: granule-interleaved reads, %d processes",
 			opts.Procs),
 		Headers: []string{"granule", "mode", "time", "MB/s", "fs-reads",
-			"sieve-reads", "waste-bytes", "exchanges", "result"},
+			"sieve-reads", "waste-bytes", "exchanges", "populations", "result"},
+		Host:   []string{"time", "MB/s", "fs-reads", "sieve-reads", "waste-bytes", "populations"},
+		Params: opts,
 	}
 	for _, granule := range opts.Granules {
-		granule := granule
 		runsFor := func(rank int) []sieveRun { return interleaveRuns(opts, rank, granule) }
 		for _, collective := range []bool{false, true} {
-			env, err := NewEnv(opts.Scale)
+			p, err := measure(SievePoint{Workload: "interleave", Granule: granule * opts.Scale,
+				Collective: collective}, runsFor, opts.SegSize)
 			if err != nil {
-				return holes, inter, report, err
-			}
-			if err := sieveSeed(opts, env, "sieve.dat"); err != nil {
-				return holes, inter, report, err
-			}
-			pr, st := sieveRead(opts, env, "sieve.dat", runsFor, opts.SegSize, collective)
-			result := "ok"
-			if pr.Failed {
-				result = pr.FailReason
+				return nil, nil, err
 			}
 			mode := "independent"
 			if collective {
 				mode = "collective"
 			}
-			inter.AddRow(
-				fmt.Sprintf("%d", granule*opts.Scale),
-				mode,
-				pr.Time.String(),
-				fmt.Sprintf("%.1f", pr.MBs),
-				fmt.Sprintf("%d", pr.FS.Reads),
-				fmt.Sprintf("%d", st.SieveReads),
-				fmt.Sprintf("%d", st.SieveWasteBytes*opts.Scale),
-				fmt.Sprintf("%d", st.TwoPhaseExchanges),
-				result,
-			)
-			report.Points = append(report.Points, SievePoint{
-				Workload:      "interleave",
-				Granule:       granule * opts.Scale,
-				SieveBuffer:   opts.SegSize * opts.Scale,
-				Collective:    collective,
-				VirtualTimeNs: int64(pr.Time),
-				MBs:           pr.MBs,
-				FSReads:       pr.FS.Reads,
-				SieveReads:    st.SieveReads,
-				SieveWaste:    st.SieveWasteBytes * opts.Scale,
-				Exchanges:     st.TwoPhaseExchanges,
-				Populations:   st.Populations,
-				Result:        result,
-			})
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("sieve interleave granule=%d %s: %v fs-reads=%d (%s)",
-					granule*opts.Scale, mode, pr.Time, pr.FS.Reads, result))
-			}
+			inter.AddRow(p.Granule, mode, simtime.Duration(p.VirtualTimeNs), stats.FmtMBs(p.MBs), p.FSReads,
+				p.SieveReads, p.SieveWaste, p.Exchanges, p.Populations, p.Result)
+			progressf(opts.Progress, "sieve interleave granule=%d %s: %v fs-reads=%d (%s)",
+				p.Granule, mode, simtime.Duration(p.VirtualTimeNs), p.FSReads, p.Result)
 		}
 	}
-	return holes, inter, report, nil
+	return []stats.Table{holes, inter}, points, nil
 }
 
 // SieveChaos runs a reduced sweep under deterministic fault injection and
@@ -446,61 +371,35 @@ func SieveChaos(opts SieveOptions, seed int64) (stats.Table, error) {
 	if err := validateSieve(opts); err != nil {
 		return stats.Table{}, err
 	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Noncontiguous-read chaos: %d processes, seed %d (counts are seed-deterministic)",
-			opts.Procs, seed),
-		Headers: []string{"workload", "setting", "sieve-buf", "injected", "retries",
-			"fs-reads", "sieve-reads", "waste-bytes", "exchanges", "result"},
-	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
-	type cell struct {
-		workload   string
-		setting    string
-		budget     int64
-		collective bool
-		runsFor    func(rank int) []sieveRun
-	}
-	pct := 50
+	t := newChaosTable("sieve", fmt.Sprintf("Noncontiguous-read chaos: %d processes, seed %d (counts are seed-deterministic)",
+		opts.Procs, seed), seed, opts.Progress, opts, []string{"workload", "setting", "sieve-buf"},
+		[]string{"retries", "fs-reads", "sieve-reads", "waste-bytes", "exchanges"})
+	holes := func(rank int) []sieveRun { return holeRuns(opts, rank, 50) }
 	granule := opts.Granules[0]
-	cells := []cell{
-		{"holes", "50%", 1, false,
-			func(rank int) []sieveRun { return holeRuns(opts, rank, pct) }},
-		{"holes", "50%", opts.SegSize, false,
-			func(rank int) []sieveRun { return holeRuns(opts, rank, pct) }},
+	cells := []struct {
+		workload, setting string
+		budget            int64
+		collective        bool
+		runsFor           func(rank int) []sieveRun
+	}{
+		{"holes", "50%", 1, false, holes},
+		{"holes", "50%", opts.SegSize, false, holes},
 		{"interleave", fmt.Sprintf("%dB", granule*opts.Scale), opts.SegSize, true,
 			func(rank int) []sieveRun { return interleaveRuns(opts, rank, granule) }},
 	}
 	for _, c := range cells {
-		inj := chaosBase.ChaosInjector(0.01)
-		env, err := NewChaosEnv(opts.Scale, inj)
+		key := []any{c.workload, c.setting, sieveBudgetLabel(opts, c.budget)}
+		err := t.cell(opts.Scale, 0, key, func(env *Env) (int64, []any, string, error) {
+			if err := sieveSeed(opts, env, "sieve.dat"); err != nil {
+				return 0, nil, "", err
+			}
+			pr, st := sieveRead(opts, env, "sieve.dat", c.runsFor, c.budget, c.collective)
+			return env.Faults.TotalInjected(), []any{st.Retries, pr.FS.Reads, st.SieveReads,
+				st.SieveWasteBytes * opts.Scale, st.TwoPhaseExchanges}, pr.Result(), nil
+		})
 		if err != nil {
-			return t, err
-		}
-		if err := sieveSeed(opts, env, "sieve.dat"); err != nil {
-			return t, err
-		}
-		pr, st := sieveRead(opts, env, "sieve.dat", c.runsFor, c.budget, c.collective)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		t.AddRow(
-			c.workload,
-			c.setting,
-			sieveBudgetLabel(opts, c.budget),
-			fmt.Sprintf("%d", inj.TotalInjected()),
-			fmt.Sprintf("%d", st.Retries),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			fmt.Sprintf("%d", st.SieveReads),
-			fmt.Sprintf("%d", st.SieveWasteBytes*opts.Scale),
-			fmt.Sprintf("%d", st.TwoPhaseExchanges),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("sieve chaos %s %s buf=%s: %s",
-				c.workload, c.setting, sieveBudgetLabel(opts, c.budget), result))
+			return t.Table, err
 		}
 	}
-	return t, nil
+	return t.Table, nil
 }

@@ -23,12 +23,12 @@ func smallSieveOpts() SieveOptions {
 
 func TestSieveSweepSmall(t *testing.T) {
 	opts := smallSieveOpts()
-	_, _, report, err := Sieve(opts)
+	_, points, err := Sieve(opts)
 	if err != nil {
 		t.Fatalf("Sieve: %v", err)
 	}
 	byKey := map[string]SievePoint{}
-	for _, p := range report.Points {
+	for _, p := range points {
 		if p.Result != "ok" {
 			t.Errorf("point %+v: result %q", p, p.Result)
 		}
@@ -95,12 +95,12 @@ func TestSieveChaosDeterministic(t *testing.T) {
 func TestSieveValidate(t *testing.T) {
 	opts := smallSieveOpts()
 	opts.HoleGranule = 48 // does not divide SegSize
-	if _, _, _, err := Sieve(opts); err == nil {
+	if _, _, err := Sieve(opts); err == nil {
 		t.Errorf("misaligned hole granule accepted")
 	}
 	opts = smallSieveOpts()
 	opts.Granules = []int64{96}
-	if _, _, _, err := Sieve(opts); err == nil {
+	if _, _, err := Sieve(opts); err == nil {
 		t.Errorf("misaligned interleave granule accepted")
 	}
 }

@@ -193,7 +193,7 @@ type Env struct {
 	FS      *pfs.FileSystem
 	Scale   int64
 	// Faults, when non-nil, arms chaos injection across the environment's
-	// hardware for every run (see NewChaosEnv).
+	// hardware for every run (see newEnv).
 	Faults *faults.Injector
 }
 
@@ -211,6 +211,30 @@ func NewEnv(scale int64) (*Env, error) {
 	fscfg.StripeSize = (1 << 20) / scale
 	fscfg.ReadAhead = fscfg.StripeSize
 	return &Env{Machine: m, FS: pfs.New(fscfg), Scale: scale}, nil
+}
+
+// newEnv is NewEnv with the file striped over stripe OSTs (0 or 1 keeps the
+// paper's single OST) and, when inj is non-nil, the file system, network,
+// and memory accountant all injecting from inj.
+func newEnv(scale int64, stripe int, inj *faults.Injector) (*Env, error) {
+	env, err := NewEnv(scale)
+	if err != nil {
+		return nil, err
+	}
+	fscfg := env.FS.Config()
+	fscfg.Faults = inj
+	if stripe > 1 {
+		fscfg.StripeCount = stripe
+	}
+	env.FS = pfs.New(fscfg)
+	env.Faults = inj
+	return env, nil
+}
+
+// world is the configuration of a procs-rank run on the environment's
+// hardware; enforce arms the per-node memory limit.
+func (e *Env) world(procs int, enforce bool) mpi.Config {
+	return mpi.Config{Procs: procs, Machine: e.Machine, FS: e.FS, Faults: e.Faults, EnforceMemory: enforce}
 }
 
 // PhaseResult captures one phase (write or read) of a benchmark run.
@@ -265,30 +289,36 @@ func runPhase(env *Env, cfg SyntheticConfig, write bool) PhaseResult {
 		Procs:    cfg.Procs,
 		SimBytes: cfg.FileBytes() * env.Scale,
 	}
-	rep, err := mpi.Run(mpi.Config{
-		Procs:         cfg.Procs,
-		Machine:       env.Machine,
-		FS:            env.FS,
-		EnforceMemory: true,
-		Faults:        env.Faults,
-	}, func(c *mpi.Comm) error {
+	pr.record(mpi.Run(env.world(cfg.Procs, true), func(c *mpi.Comm) error {
 		if write {
 			return writeWorkload(c, cfg)
 		}
 		return readWorkload(c, cfg)
-	})
+	}))
+	return pr
+}
+
+// record fills the phase's outcome from its world's report: the failure
+// reason, or the makespan, throughput and per-layer counters. It reports
+// whether the phase completed.
+func (pr *PhaseResult) record(rep mpi.Report, err error) bool {
 	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr
+		pr.Failed, pr.FailReason = true, failReason(err)
+		return false
 	}
 	pr.Time = rep.MaxTime.Sub(0)
 	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.PeakMemory = rep.PeakMemory
-	pr.AllocRetries = rep.AllocRetries
-	return pr
+	pr.Net, pr.FS = rep.Net, rep.FS
+	pr.PeakMemory, pr.AllocRetries = rep.PeakMemory, rep.AllocRetries
+	return true
+}
+
+// Result is the phase's result cell: "ok" or the failure reason.
+func (pr PhaseResult) Result() string {
+	if pr.Failed {
+		return pr.FailReason
+	}
+	return "ok"
 }
 
 func failReason(err error) string {

@@ -1,6 +1,6 @@
 package conformance
 
-// RunSweep is the engine behind `tciobench -conform`: generate and check
+// RunSweep is the engine behind `tciobench -run conform`: generate and check
 // a window of seeded programs, print one deterministic summary line per
 // program (CI runs the sweep twice and diffs the output), and on
 // divergence shrink to a minimal repro — saving it to the corpus

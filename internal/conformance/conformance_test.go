@@ -200,7 +200,7 @@ func TestCorpusReplay(t *testing.T) {
 }
 
 // TestRunSweepDeterministic runs the CLI sweep twice and diffs the full
-// output — the exact check CI performs via tciobench -conform.
+// output — the exact check CI performs via tciobench -run conform.
 func TestRunSweepDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	if _, err := RunSweep(&a, 1, 8, ""); err != nil {

@@ -201,21 +201,14 @@ func (w *Win) Backed(target int) bool {
 	return w.g.bufs[target] != nil
 }
 
-// SnapshotLocal returns a private copy of [off, off+n) of this rank's own
-// window memory, serialized against the physical copies of concurrent
-// remote puts. Background lanes that read window memory outside any access
-// epoch (tcio's eager write-behind) must use it instead of slicing Local():
-// a rewrite put landing mid-read would otherwise be a data race.
-func (w *Win) SnapshotLocal(off, n int64) []byte {
-	out := make([]byte, n)
-	w.SnapshotLocalInto(out, off)
-	return out
-}
-
-// SnapshotLocalInto is SnapshotLocal copying len(dst) bytes from off into a
-// caller-owned buffer, so steady-state background lanes can reuse one
-// staging arena instead of allocating per run. An unbacked window reads
-// as zeros.
+// SnapshotLocalInto copies len(dst) bytes of this rank's own window memory,
+// starting at off, into a caller-owned buffer, serialized against the
+// physical copies of concurrent remote puts. Background lanes that read
+// window memory outside any access epoch (tcio's eager write-behind) must
+// use it instead of slicing Local(): a rewrite put landing mid-read would
+// otherwise be a data race. The caller's buffer lets steady-state lanes
+// reuse one staging arena instead of allocating per run. An unbacked
+// window reads as zeros.
 func (w *Win) SnapshotLocalInto(dst []byte, off int64) {
 	mu := &w.g.datamu[w.c.rank]
 	mu.Lock()

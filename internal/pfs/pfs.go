@@ -558,9 +558,9 @@ func (f *File) Truncate() {
 
 // Oplog record kinds.
 const (
-	OpOpen = iota // file created (Name, FirstOST)
-	OpStore       // bytes became durable (Name, Off, Data, Start, End)
-	OpTruncate    // file reset to empty (Name, Start, End)
+	OpOpen     = iota // file created (Name, FirstOST)
+	OpStore           // bytes became durable (Name, Off, Data, Start, End)
+	OpTruncate        // file reset to empty (Name, Start, End)
 )
 
 // OpRecord is one logged durable mutation.
@@ -669,15 +669,7 @@ func (f *File) StoreDirect(off int64, data []byte) {
 	f.storeBytes(off, data)
 }
 
-// TruncateAt resets the file to empty as a simulated client request: it
-// pays the request overhead, can fail transiently at faults.SiteWALTruncate,
-// and is logged. Unlike writes it does not count toward Stats.Writes — the
-// journal-retirement RPC is control traffic, and the conformance write
-// ledger stays an exact data identity.
-func (f *File) TruncateAt(client int, now simtime.Time) (simtime.Time, error) {
-	return f.truncateAt(client, now, 0)
-}
-
+// truncateAt is one attempt of TruncateAtRetry.
 func (f *File) truncateAt(client int, now simtime.Time, attempt int64) (simtime.Time, error) {
 	if inj := f.fs.cfg.Faults; inj.Should(faults.SiteWALTruncate, int64(client), attempt) {
 		f.fs.faultsInjected.Add(1)
@@ -697,7 +689,12 @@ func (f *File) truncateAt(client int, now simtime.Time, attempt int64) (simtime.
 	return end, nil
 }
 
-// TruncateAtRetry is TruncateAt under a retry policy; see WriteAtRetry.
+// TruncateAtRetry resets the file to empty as a simulated client request
+// under a retry policy (see WriteAtRetry): each attempt pays the request
+// overhead, can fail transiently at faults.SiteWALTruncate, and is logged.
+// Unlike writes it does not count toward Stats.Writes — the
+// journal-retirement RPC is control traffic, and the conformance write
+// ledger stays an exact data identity.
 func (f *File) TruncateAtRetry(client int, now simtime.Time, pol faults.RetryPolicy) (simtime.Time, int64, error) {
 	return f.retry(now, pol, func(at simtime.Time, attempt int64) (simtime.Time, error) {
 		return f.truncateAt(client, at, attempt)

@@ -101,10 +101,15 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	return c.now
 }
 
-// Resource is a shared serial server with a FIFO-in-virtual-time queue:
-// think of one NIC, one storage target, or one metadata server. Acquire
-// reserves the resource for a duration, returning when the work starts and
-// ends. Resources are safe for concurrent use by many rank goroutines.
+// Resource is a shared serial server: think of one NIC, one storage target,
+// or one metadata server. Acquire reserves the resource for a duration,
+// returning when the work starts and ends. Callers are served in host call
+// order, not virtual-time order: a rank that runs ahead on the host
+// reserves time far in the virtual future, and a rank still at an earlier
+// virtual instant then queues behind it. Results that share a Resource
+// between barriers therefore depend on goroutine scheduling (see ROADMAP.md,
+// "Virtual-time-ordered execution"). Resources are safe for concurrent use
+// by many rank goroutines.
 type Resource struct {
 	mu       sync.Mutex
 	name     string
@@ -119,8 +124,10 @@ func NewResource(name string) *Resource { return &Resource{name: name} }
 // Name reports the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// Acquire reserves the resource for dur starting no earlier than now.
-// It returns the start and end instants of the reserved service window.
+// Acquire reserves the resource for dur, starting at the later of now and
+// the end of the reservation made by the previous call, whatever that
+// call's virtual instant. It returns the start and end instants of the
+// reserved service window.
 func (r *Resource) Acquire(now Time, dur Duration) (start, end Time) {
 	if dur < 0 {
 		dur = 0

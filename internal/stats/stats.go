@@ -4,6 +4,7 @@
 package stats
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -74,16 +75,55 @@ func (s *Sample) Stddev() float64 {
 }
 
 // Table is a rendered experiment result: one paper table or one figure's
-// data series.
+// data series. It is also the one schema every experiment's JSON output
+// uses.
 type Table struct {
-	Title   string
-	Headers []string
-	Rows    [][]string
+	// Experiment is the registry name of the experiment that produced the
+	// table.
+	Experiment string     `json:"experiment,omitempty"`
+	Title      string     `json:"title"`
+	Headers    []string   `json:"headers"`
+	Rows       [][]string `json:"rows"`
+	// Host names the columns that hold host facts: wall-clock measurements
+	// and virtual quantities that depend on the host's goroutine scheduling.
+	// Every other column is deterministic, a pure function of the options
+	// and the seed; Det keeps exactly those.
+	Host []string `json:"host,omitempty"`
+	// Note is a free-text line printed after the table.
+	Note string `json:"note,omitempty"`
+	// Params records the options the table was produced with.
+	Params any `json:"params,omitempty"`
 }
 
-// AddRow appends one row of cells.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
+// AddRow appends one row, formatting each value with fmt.Sprint.
+func (t *Table) AddRow(values ...any) {
+	row := make([]string, len(values))
+	for i, v := range values {
+		row[i] = fmt.Sprint(v)
+	}
+	t.Rows = append(t.Rows, row)
+}
+
+// Det returns the table's deterministic view: the columns not named in
+// Host, in their original order.
+func (t Table) Det() Table {
+	host := make(map[string]bool, len(t.Host))
+	for _, h := range t.Host {
+		host[h] = true
+	}
+	out := t
+	out.Headers, out.Host = nil, nil
+	out.Rows = make([][]string, len(t.Rows))
+	for c, h := range t.Headers {
+		if host[h] {
+			continue
+		}
+		out.Headers = append(out.Headers, h)
+		for r, row := range t.Rows {
+			out.Rows[r] = append(out.Rows[r], row[c])
+		}
+	}
+	return out
 }
 
 // Render writes the table as aligned plain text.
@@ -134,18 +174,14 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table as comma-separated values (quotes are not handled;
-// harness cells never contain commas).
+// CSV writes the table as RFC 4180 comma-separated values: a cell holding
+// a comma or a quote (a failure reason, say) is quoted.
 func (t *Table) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Headers, ",")); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Headers); err != nil {
 		return err
 	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.Rows)
 }
 
 // FmtMBs formats a throughput value the way the paper's axes do.

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +65,42 @@ func TestTableCSV(t *testing.T) {
 	}
 	if buf.String() != "p,mbs\n64,123.4\n" {
 		t.Fatalf("csv = %q", buf.String())
+	}
+}
+
+// TestTableCSVQuotesCommas pins the failed-cell case: a failure reason
+// carries err.Error(), commas included, and must stay one field.
+func TestTableCSVQuotesCommas(t *testing.T) {
+	tb := Table{Headers: []string{"procs", "TCIO", "OCIO"}}
+	fail := "FAIL (mpi: 30000 ranks need 2500 nodes, machine has 1888)"
+	tb.AddRow("30000", fail, fail)
+	var buf bytes.Buffer
+	if err := tb.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV output does not parse: %v", err)
+	}
+	want := [][]string{tb.Headers, tb.Rows[0]}
+	if !reflect.DeepEqual(records, want) {
+		t.Fatalf("CSV round trip = %q, want %q", records, want)
+	}
+}
+
+func TestTableDet(t *testing.T) {
+	tb := Table{Title: "T", Headers: []string{"p", "wall", "count", "mbs"}, Host: []string{"wall", "mbs"}}
+	tb.AddRow(64, "1.5s", int64(7), "12.5")
+	tb.AddRow(128, "2.5s", int64(9), "13.5")
+	det := tb.Det()
+	if !reflect.DeepEqual(det.Headers, []string{"p", "count"}) || det.Host != nil {
+		t.Fatalf("det headers %q host %q", det.Headers, det.Host)
+	}
+	if want := [][]string{{"64", "7"}, {"128", "9"}}; !reflect.DeepEqual(det.Rows, want) {
+		t.Fatalf("det rows %q, want %q", det.Rows, want)
+	}
+	if len(tb.Headers) != 4 || len(tb.Rows[0]) != 4 {
+		t.Fatal("Det modified its receiver")
 	}
 }
 
