@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -60,11 +61,13 @@ func TestRegistryHostColumns(t *testing.T) {
 		t.Fatalf("%d experiments registered, %d pinned", len(Experiments), len(want))
 	}
 	o := smallOptions()
+	var all []stats.Table
 	for _, e := range Experiments {
 		tables, err := e.Run(&o)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
+		all = append(all, tables...)
 		w, ok := want[e.Name]
 		if !ok || len(tables) != len(w) {
 			t.Fatalf("%s: %d tables, want %d", e.Name, len(tables), len(w))
@@ -75,6 +78,22 @@ func TestRegistryHostColumns(t *testing.T) {
 			}
 			checkShape(t, e.Name, tbl)
 		}
+	}
+	// -json writes exactly this slice: it must encode (no options field
+	// JSON cannot represent) and decode back into the one schema.
+	blob, err := json.Marshal(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []stats.Table
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i := range all {
+		all[i].Params, back[i].Params = nil, nil
+	}
+	if !reflect.DeepEqual(back, all) {
+		t.Error("tables changed across a JSON round trip")
 	}
 }
 
